@@ -7,9 +7,14 @@ literals. A typo silently turns a crash test into a happy-path test. This
 linter extracts both sides and fails on arms that can never fire.
 
 Registered points (scanned from src/**/*.cc):
-  - Eval("name"), AtPoint("name"), AtWritePoint("name") literals.
+  - Eval("name"), AtPoint("name"), AtWritePoint("name") literals, and
+    TranMan's AtTransition("name") (tm.prepared / tm.committed / tm.aborted),
+    which evaluates its argument as a failpoint.
   - ForceAt("name", ...) / DirectForceAt("name", ...) literals, which the
     runtime expands to "name.before" and "name.after" (src/tranman/tranman.cc).
+    PrepareCoordinator("name", ...) forwards its literal to ForceAt, and a
+    QuorumPolicy's `decision_force = "name"` reaches DirectForceAt through the
+    takeover; both expand the same way.
   - tm.send.<TYPE> for every message-type string in TmMsgTypeName
     (src/tranman/messages.cc); the send path builds these dynamically.
 
@@ -33,8 +38,10 @@ import re
 import sys
 from pathlib import Path
 
-EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint)\(\s*"([^"]+)"')
-FORCE_RE = re.compile(r'\b(?:ForceAt|DirectForceAt)\(\s*"([^"]+)"')
+EVAL_RE = re.compile(r'\b(?:Eval|AtPoint|AtWritePoint|AtTransition)\(\s*"([^"]+)"')
+FORCE_RE = re.compile(
+    r'\b(?:ForceAt|DirectForceAt|PrepareCoordinator)\(\s*"([^"]+)"'
+    r'|\bdecision_force\s*=\s*"([^"]+)"')
 ARM_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
 MSG_TYPE_RE = re.compile(r'return\s+"([A-Z][A-Z-]*)";')
 # One schedule entry inside any string literal. The name must look like a
@@ -60,7 +67,8 @@ def registered_points(root: Path) -> set[str]:
     for path in iter_cc(root, ["src"]):
         text = path.read_text(encoding="utf-8", errors="replace")
         points.update(EVAL_RE.findall(text))
-        for name in FORCE_RE.findall(text):
+        for call, field in FORCE_RE.findall(text):
+            name = call or field
             points.add(name + ".before")
             points.add(name + ".after")
     messages = root / "src" / "tranman" / "messages.cc"

@@ -1790,7 +1790,10 @@ void SpecMachine::Recover(SpecState* s, int proc, SpecEffect* eff) const {
 
   SpecEffect scratch;
   SpecCtx ctx(*this, s, proc, eff != nullptr ? eff : &scratch);
-  ctx.Note("p" + std::to_string(proc) + " recovers");
+  std::string note = "p";
+  note += std::to_string(proc);
+  note += " recovers";
+  ctx.Note(std::move(note));
 
   if (decided == SpecDecision::kCommit) {
     ctx.Decide(SpecDecision::kCommit);  // Stability-checked re-announcement.

@@ -94,10 +94,12 @@ std::string NemesisEvent::ToString() const {
   std::string out;
   switch (when) {
     case When::kAbsolute:
-      out += "@" + std::to_string(at);
+      out += '@';
+      out += std::to_string(at);
       break;
     case When::kRelative:
-      out += "+" + std::to_string(at);
+      out += '+';
+      out += std::to_string(at);
       break;
     case When::kTrigger:
       out += point + "@" + std::to_string(site.value) + "#" + std::to_string(hit);

@@ -57,7 +57,10 @@ void AuditBalancesAndSubset(World& world, int site_count, int64_t initial_balanc
   if (total != static_cast<int64_t>(n) * initial_balance) {
     std::string detail;
     for (int i = 0; i < n; ++i) {
-      detail += (i > 0 ? " " : "") + std::to_string(balances[static_cast<size_t>(i)]);
+      if (i > 0) {
+        detail += ' ';
+      }
+      detail += std::to_string(balances[static_cast<size_t>(i)]);
     }
     violations->push_back("money not conserved: total " + std::to_string(total) + " != " +
                           std::to_string(static_cast<int64_t>(n) * initial_balance) +

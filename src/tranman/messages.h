@@ -84,7 +84,9 @@ struct TmMsg {
   bool has_replication = false;
   uint64_t replicated_epoch = 0;
   TmDecision replicated_decision = TmDecision::kAbort;
-  // kStatusResp to a Paxos takeover read: the family is unknown here, but a
+  // kStatusReq: a promised (Paxos) takeover read, which even a family-less
+  // acceptor must answer with a promise at the read's epoch.
+  // kStatusResp to such a read: the family is unknown here, but a
   // promise at the read's epoch was recorded — "no accepted value" is real
   // testimony a leader may count toward its read quorum, unlike a bare
   // kUnknown (which proves nothing: an amnesiac acceptor may have accepted

@@ -20,6 +20,17 @@ Bytes EncodeTid(const Tid& tid) {
   return w.Take();
 }
 
+TmMsg MakeMsg(TmMsgType type, const Tid& tid) {
+  TmMsg msg;
+  msg.type = type;
+  msg.tid = tid;
+  return msg;
+}
+
+bool Contains(const std::vector<SiteId>& sites, SiteId site) {
+  return std::find(sites.begin(), sites.end(), site) != sites.end();
+}
+
 }  // namespace
 
 TranMan::TranMan(Site& site, Network& net, ComMan& comman, StableLog& log, TranManConfig config)
@@ -259,24 +270,14 @@ Status TranMan::HeuristicResolve(const FamilyId& family, TmDecision decision) {
   }
   ++counters_.heuristic_resolutions;
   fam->heuristic = true;
-  if (decision == TmDecision::kCommit) {
-    // Deliver a synthetic COMMIT to the waiting subordinate coroutine; the
-    // normal path writes the commit record and acks the (absent) coordinator.
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    commit.from = site_.id();
-    if (fam->inbox && !fam->inbox->closed()) {
-      fam->inbox->Send(std::move(commit));
-    }
-  } else {
-    TmMsg abort;
-    abort.type = TmMsgType::kAbort;
-    abort.tid = fam->top;
-    abort.from = site_.id();
-    if (fam->inbox && !fam->inbox->closed()) {
-      fam->inbox->Send(std::move(abort));
-    }
+  // Deliver a synthetic outcome to the waiting subordinate coroutine; for a
+  // commit the normal path writes the commit record and acks the (absent)
+  // coordinator.
+  TmMsg outcome = MakeMsg(
+      decision == TmDecision::kCommit ? TmMsgType::kCommit : TmMsgType::kAbort, fam->top);
+  outcome.from = site_.id();
+  if (fam->inbox && !fam->inbox->closed()) {
+    fam->inbox->Send(std::move(outcome));
   }
   return OkStatus();
 }
@@ -373,9 +374,7 @@ void TranMan::OnTopologyChange() {
       // during a partition would hold locks forever after the heal.
       fam->takeover_round = 0;
       ++counters_.status_queries;
-      TmMsg req;
-      req.type = TmMsgType::kStatusReq;
-      req.tid = fam->top;
+      const TmMsg req = MakeMsg(TmMsgType::kStatusReq, fam->top);
       if (fam->protocol == CommitProtocol::kTwoPhase) {
         SendMsg(fam->coordinator, req);
       } else {
@@ -388,9 +387,7 @@ void TranMan::OnTopologyChange() {
     } else if (fam->is_coordinator && fam->inbox && !fam->inbox->closed()) {
       // A parked phase-2 coordinator: nudge its inbox so it resends the
       // outcome to laggards (lost acks do not retransmit themselves).
-      TmMsg nudge;
-      nudge.type = TmMsgType::kSiteUp;
-      nudge.tid = fam->top;
+      TmMsg nudge = MakeMsg(TmMsgType::kSiteUp, fam->top);
       nudge.from = site_.id();
       fam->inbox->Send(nudge);
     }
@@ -595,9 +592,7 @@ Async<void> TranMan::DispatchMsg(TmMsg msg) {
       if (adm == Admission::kExpired) {
         ++counters_.deadline_shed;
       }
-      TmMsg vote;
-      vote.type = TmMsgType::kVote;
-      vote.tid = msg.tid;
+      TmMsg vote = MakeMsg(TmMsgType::kVote, msg.tid);
       vote.vote = TmVote::kAbort;
       SendMsg(msg.from, vote);
       co_return;
@@ -641,18 +636,12 @@ Async<void> TranMan::DispatchMsg(TmMsg msg) {
     case TmMsgType::kCommit: {
       Family* fam = FindFamily(msg.tid.family);
       if (fam == nullptr) {
-        // Already finished and forgotten: the ack must have been lost.
-        co_await HandleCommitForUnknown(std::move(msg));
-        co_return;
-      }
-      if (fam->state == TmTxnState::kCommitted) {
-        TmMsg ack;
-        ack.type = TmMsgType::kCommitAck;
-        ack.tid = msg.tid;
-        SendMsg(msg.from, ack);
-        co_return;
-      }
-      if (fam->state == TmTxnState::kAborted && fam->heuristic) {
+        // Already finished and forgotten: the ack must have been lost. The
+        // decision also releases any Paxos read promise given while we knew
+        // nothing, so a late REPLICATE cannot materialize a family here that
+        // no one will ever resolve.
+        orphan_promises_.erase(msg.tid.family);
+      } else if (fam->state == TmTxnState::kAborted && fam->heuristic) {
         // We guessed ABORT; the real outcome is COMMIT. Record the damage and
         // ack so the coordinator can finish (the data here is already wrong —
         // exactly the risk LU 6.2 accepts).
@@ -660,23 +649,15 @@ Async<void> TranMan::DispatchMsg(TmMsg msg) {
         CTRACE("[%8.1fms] %s HEURISTIC DAMAGE: aborted %s but coordinator committed",
                ToMs(site_.sched().now()), ToString(site_.id()).c_str(),
                ToString(msg.tid).c_str());
-        TmMsg ack;
-        ack.type = TmMsgType::kCommitAck;
-        ack.tid = msg.tid;
-        SendMsg(msg.from, ack);
-        co_return;
-      }
-      if (fam->passive_acceptor && fam->state == TmTxnState::kPrepared) {
+      } else if (fam->passive_acceptor && fam->state == TmTxnState::kPrepared) {
         fam->state = TmTxnState::kCommitted;  // Outcome tombstone (change 4).
-        TmMsg ack;
-        ack.type = TmMsgType::kCommitAck;
-        ack.tid = msg.tid;
-        SendMsg(msg.from, ack);
+      } else if (fam->state != TmTxnState::kCommitted) {
+        if (fam->state == TmTxnState::kPrepared && fam->inbox && !fam->inbox->closed()) {
+          fam->inbox->Send(std::move(msg));
+        }
         co_return;
       }
-      if (fam->state == TmTxnState::kPrepared && fam->inbox && !fam->inbox->closed()) {
-        fam->inbox->Send(std::move(msg));
-      }
+      SendMsg(msg.from, MakeMsg(TmMsgType::kCommitAck, msg.tid));
       co_return;
     }
     case TmMsgType::kAbort:
@@ -694,10 +675,7 @@ Async<void> TranMan::DispatchMsg(TmMsg msg) {
       for (auto& [id, fam] : families_) {
         if (fam->state == TmTxnState::kPrepared && fam->committing && !fam->passive_acceptor) {
           fam->takeover_round = 0;
-          TmMsg req;
-          req.type = TmMsgType::kStatusReq;
-          req.tid = fam->top;
-          SendMsg(msg.from, req);
+          SendMsg(msg.from, MakeMsg(TmMsgType::kStatusReq, fam->top));
         }
       }
       co_return;
@@ -940,6 +918,55 @@ Async<Status> TranMan::CallServersAbort(const Family& fam) {
   co_return OkStatus();
 }
 
+// --- Decision steps shared by every decider -------------------------------------------
+
+bool TranMan::ApplyCommit(Family* fam) {
+  if (AtTransition("tm.committed")) {
+    return false;
+  }
+  fam->state = TmTxnState::kCommitted;
+  RecordOutcome(fam->top.family, /*committed=*/true);
+  NotifyServersDropLocks(*fam);
+  return true;
+}
+
+Async<bool> TranMan::UndoForAbort(Family* fam, const char* role) {
+  const uint32_t inc = site_.incarnation();
+  // Presumed abort: the abort record is never forced.
+  log_.Append(LogRecord::Abort(fam->top));
+  RecordSpool(fam->top.family, role, "abort");
+  co_await CallServersAbort(*fam);
+  co_return !Dead(inc);
+}
+
+Async<void> TranMan::RefuseAndForget(Family* fam, SiteId coordinator) {
+  const bool undone = co_await UndoForAbort(fam, "sub");
+  if (!undone) {
+    co_return;
+  }
+  TmMsg vote = MakeMsg(TmMsgType::kVote, fam->top);
+  vote.vote = TmVote::kAbort;
+  SendMsg(coordinator, vote);
+  fam->state = TmTxnState::kAborted;
+  RecordOutcome(fam->top.family, /*committed=*/false);
+  RetireFamily(fam->top.family);
+}
+
+Lsn TranMan::AcceptValue(Family* fam, SiteId proposer, uint64_t epoch, TmDecision decision) {
+  fam->has_replication = true;
+  fam->replicated_epoch = epoch;
+  fam->replicated_decision = decision;
+  return log_.Append(LogRecord::Replication(fam->top, proposer, epoch,
+                                            static_cast<uint8_t>(decision), fam->sites,
+                                            fam->protocol, fam->commit_quorum,
+                                            fam->abort_quorum));
+}
+
+Lsn TranMan::AppendPrepare(const Family& fam) {
+  return log_.Append(LogRecord::Prepare(fam.top, fam.coordinator, fam.sites, fam.protocol,
+                                        fam.commit_quorum, fam.abort_quorum));
+}
+
 // --- Commit entry point -------------------------------------------------------------------
 
 Async<RpcResult> TranMan::HandleCommit(const Tid& tid, const CommitOptions& options) {
@@ -975,26 +1002,21 @@ Async<RpcResult> TranMan::HandleCommit(const Tid& tid, const CommitOptions& opti
   const bool local_updates = local_vote == ServerVote::kUpdate;
 
   Status status;
+  const uint32_t paxos_quorum = PaxosCommitQuorum(options.paxos_f, subs.size() + 1);
   if (subs.empty()) {
     status = co_await CommitLocalOnly(fam, local_updates);
+    if (status.ok()) {
+      RetireFamily(tid.family);
+    }
   } else if (options.protocol == CommitProtocol::kNonBlocking) {
-    status = co_await CoordinateNonBlocking(fam, options, subs, local_updates);
+    status = co_await CoordinateNonBlocking(fam, subs, local_updates);
+  } else if (options.protocol == CommitProtocol::kPaxos && paxos_quorum > 1) {
+    status = co_await CoordinatePaxos(fam, paxos_quorum, subs, local_updates);
   } else if (options.protocol == CommitProtocol::kPaxos) {
-    // Acceptor set: min(2F+1, participants) clamped odd, coordinator first.
-    uint32_t acceptors = std::min<uint32_t>(2 * options.paxos_f + 1,
-                                            static_cast<uint32_t>(subs.size()) + 1);
-    if (acceptors % 2 == 0) {
-      --acceptors;
-    }
-    const uint32_t f_eff = (acceptors - 1) / 2;
-    if (f_eff == 0) {
-      // Gray & Lamport's theorem in code: Paxos Commit with one acceptor IS
-      // the optimized two-phase protocol, so route it literally through the
-      // 2PC engine and the cost vectors collapse by construction.
-      status = co_await CoordinateTwoPhase(fam, CommitOptions::Optimized(), subs, local_updates);
-    } else {
-      status = co_await CoordinatePaxos(fam, f_eff, subs, local_updates);
-    }
+    // Gray & Lamport's theorem in code: Paxos Commit with one acceptor IS
+    // the optimized two-phase protocol, so route it literally through the
+    // 2PC engine and the cost vectors collapse by construction.
+    status = co_await CoordinateTwoPhase(fam, CommitOptions::Optimized(), subs, local_updates);
   } else {
     status = co_await CoordinateTwoPhase(fam, options, subs, local_updates);
   }
@@ -1012,7 +1034,8 @@ Async<RpcResult> TranMan::HandleCommit(const Tid& tid, const CommitOptions& opti
   co_return RpcResult{std::move(status), {}};
 }
 
-Async<Status> TranMan::CommitLocalOnly(Family* fam, bool has_updates) {
+Async<Status> TranMan::CommitLocalOnly(Family* fam, bool has_updates,
+                                       std::vector<SiteId> tell) {
   if (has_updates) {
     // Figure 1, event 9: the single log force that commits the transaction.
     const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
@@ -1020,13 +1043,10 @@ Async<Status> TranMan::CommitLocalOnly(Family* fam, bool has_updates) {
       co_return UnavailableError("crashed during commit force");
     }
   }
-  if (AtTransition("tm.committed")) {
+  if (!ApplyCommit(fam)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
-  NotifyServersDropLocks(*fam);  // Event 11, off the completion path.
-  RetireFamily(fam->top.family);
+  SendMsgToAll(tell, MakeMsg(TmMsgType::kCommit, fam->top));
   co_return OkStatus();
 }
 
@@ -1045,18 +1065,11 @@ Async<RpcResult> TranMan::HandleAbort(const Tid& tid) {
 }
 
 Async<void> TranMan::AbortDistributed(Family* fam, const std::vector<SiteId>& notify) {
-  const uint32_t inc = site_.incarnation();
-  // Presumed abort: the abort record is never forced.
-  log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(fam->top.family, "coord", "abort");
-  co_await CallServersAbort(*fam);
-  if (Dead(inc)) {
+  const bool undone = co_await UndoForAbort(fam, "coord");
+  if (!undone) {
     co_return;
   }
-  TmMsg abort;
-  abort.type = TmMsgType::kAbort;
-  abort.tid = fam->top;
-  SendMsgToAll(notify, abort);
+  SendMsgToAll(notify, MakeMsg(TmMsgType::kAbort, fam->top));
   if (AtTransition("tm.aborted")) {
     co_return;
   }
@@ -1069,6 +1082,96 @@ Async<void> TranMan::AbortDistributed(Family* fam, const std::vector<SiteId>& no
   } else {
     RetireFamily(fam->top.family);
   }
+}
+
+// --- Coordinator plumbing shared by every protocol ------------------------------------------
+
+void TranMan::TakeCoordinatorRole(Family* fam, const CommitOptions& options,
+                                  const std::vector<SiteId>& subs) {
+  fam->is_coordinator = true;
+  fam->coordinator = site_.id();
+  fam->protocol = options.protocol;
+  fam->force_sub_commit = options.force_subordinate_commit;
+  fam->piggyback_ack = options.piggyback_commit_ack;
+  fam->sites.clear();
+  fam->sites.push_back(site_.id());
+  fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
+  fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
+}
+
+TmMsg TranMan::PrepareFor(const Family& fam) const {
+  TmMsg prepare = MakeMsg(TmMsgType::kPrepare, fam.top);
+  prepare.protocol = fam.protocol;
+  prepare.force_subordinate_commit = fam.force_sub_commit;
+  prepare.piggyback_commit_ack = fam.piggyback_ack;
+  prepare.sites = fam.sites;
+  prepare.commit_quorum = fam.commit_quorum;
+  prepare.abort_quorum = fam.abort_quorum;
+  prepare.deadline = fam.deadline;
+  return prepare;
+}
+
+Async<bool> TranMan::PrepareCoordinator(const char* force_point, Family* fam,
+                                        bool local_updates) {
+  // A read-only coordinator skips the force so that a completely read-only
+  // transaction keeps the two-phase critical path (paper, Section 6).
+  if (local_updates) {
+    const bool durable = co_await ForceAt(force_point, fam->top.family, AppendPrepare(*fam));
+    if (!durable) {
+      co_return false;
+    }
+  }
+  if (AtTransition("tm.prepared")) {
+    co_return false;
+  }
+  fam->state = TmTxnState::kPrepared;
+  co_return true;
+}
+
+Async<TranMan::Wake> TranMan::ReceiveOrAdopt(Family* fam, uint32_t inc, SimDuration wait,
+                                             TmMsg& msg) {
+  auto received = co_await fam->inbox->ReceiveTimeout(wait);
+  if (Dead(inc) || fam->inbox->closed()) {
+    co_return Wake::kGone;
+  }
+  if (!received.has_value()) {
+    co_return Wake::kSilence;
+  }
+  msg = std::move(*received);
+  // Another leader beat us to the decision: adopt it.
+  if (msg.type == TmMsgType::kCommit) {
+    co_await SubordinateCommit(fam);
+    co_return Wake::kAdoptedCommit;
+  }
+  if (msg.type == TmMsgType::kAbort) {
+    co_await SubordinateAbort(fam);
+    co_return Wake::kAdoptedAbort;
+  }
+  co_return Wake::kMessage;
+}
+
+Async<bool> TranMan::CollectFor(Family* fam, uint32_t inc, SimDuration window,
+                                std::function<bool()> done,
+                                std::function<void(const TmMsg&)> take) {
+  const SimTime deadline = site_.sched().now() + window;
+  while (!done() && site_.sched().now() < deadline) {
+    TmMsg msg;
+    const Wake wake = co_await ReceiveOrAdopt(fam, inc, deadline - site_.sched().now(), msg);
+    if (wake == Wake::kSilence) {
+      break;
+    }
+    if (wake != Wake::kMessage) {
+      co_return false;
+    }
+    take(msg);
+  }
+  co_return true;
+}
+
+Status TranMan::ParkInDoubt(Family* fam, uint32_t inc, const char* why) {
+  fam->takeover_round = 0;
+  site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
+  return BlockedError(why);
 }
 
 // --- Two-phase commitment (coordinator) ------------------------------------------------------
@@ -1125,25 +1228,8 @@ Async<TranMan::VoteRound> TranMan::GatherVotes(Family* fam, const TmMsg& prepare
 Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& options,
                                           std::vector<SiteId> subs, bool local_updates) {
   const uint32_t inc = site_.incarnation();
-  fam->is_coordinator = true;
-  fam->coordinator = site_.id();
-  fam->protocol = CommitProtocol::kTwoPhase;
-  fam->force_sub_commit = options.force_subordinate_commit;
-  fam->piggyback_ack = options.piggyback_commit_ack;
-  fam->sites.clear();
-  fam->sites.push_back(site_.id());
-  fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
-  fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
-
-  TmMsg prepare;
-  prepare.type = TmMsgType::kPrepare;
-  prepare.tid = fam->top;
-  prepare.protocol = CommitProtocol::kTwoPhase;
-  prepare.force_subordinate_commit = options.force_subordinate_commit;
-  prepare.piggyback_commit_ack = options.piggyback_commit_ack;
-  prepare.sites = fam->sites;
-  prepare.deadline = fam->deadline;
-
+  TakeCoordinatorRole(fam, options, subs);
+  const TmMsg prepare = PrepareFor(*fam);
   VoteRound votes = co_await GatherVotes(fam, prepare, subs);
   if (Dead(inc)) {
     co_return UnavailableError("site crashed");
@@ -1155,14 +1241,11 @@ Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& opti
 
   if (votes.update_subs.empty() && !local_updates) {
     // The entire transaction was read-only: commit without writing anything.
-    if (AtTransition("tm.committed")) {
-      co_return UnavailableError("site crashed");
+    Status status = co_await CommitLocalOnly(fam, /*has_updates=*/false);
+    if (status.ok()) {
+      RetireFamily(fam->top.family);
     }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    RetireFamily(fam->top.family);
-    co_return OkStatus();
+    co_return status;
   }
 
   // Commit point: force the commit record listing subordinates needing acks.
@@ -1170,12 +1253,9 @@ Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& opti
   if (!co_await ForceAt("tm.2pc.commit_force", fam->top.family, lsn)) {
     co_return UnavailableError("crashed during commit force");
   }
-  if (AtTransition("tm.committed")) {
+  if (!ApplyCommit(fam)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
-  NotifyServersDropLocks(*fam);
   // Phase 2 is off the completion path: the application's call returns now.
   site_.sched().Spawn(CoordinatorPhase2(fam->top.family, std::move(votes.update_subs)));
   co_return OkStatus();
@@ -1188,9 +1268,7 @@ Async<void> TranMan::CoordinatorPhase2(FamilyId family, std::vector<SiteId> upda
     co_return;
   }
   std::set<SiteId> pending(update_subs.begin(), update_subs.end());
-  TmMsg commit;
-  commit.type = TmMsgType::kCommit;
-  commit.tid = fam->top;
+  const TmMsg commit = MakeMsg(TmMsgType::kCommit, fam->top);
 
   // Send COMMIT once up front; retransmit to the remaining laggards only on
   // silence (a receive timeout) or a topology change — each ack used to reset
@@ -1246,49 +1324,21 @@ Async<void> TranMan::CoordinatorPhase2(FamilyId family, std::vector<SiteId> upda
 
 // --- Non-blocking commitment (coordinator) ------------------------------------------------
 
-Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /*options*/,
-                                             std::vector<SiteId> subs, bool local_updates) {
+Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> subs,
+                                             bool local_updates) {
   const uint32_t inc = site_.incarnation();
-  fam->is_coordinator = true;
-  fam->coordinator = site_.id();
-  fam->protocol = CommitProtocol::kNonBlocking;
-  fam->force_sub_commit = false;  // NBC notify phase always uses the optimized form.
-  fam->piggyback_ack = true;
-  fam->sites.clear();
-  fam->sites.push_back(site_.id());
-  fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
-  const uint32_t n = static_cast<uint32_t>(fam->sites.size());
-  fam->commit_quorum = n / 2 + 1;
-  fam->abort_quorum = n + 1 - fam->commit_quorum;
-  fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
+  // The NBC notify phase always uses the optimized form.
+  TakeCoordinatorRole(fam, CommitOptions::NonBlocking(), subs);
+  const QuorumPolicy majority = PolicyFor(CommitProtocol::kNonBlocking, fam->sites, 0, 0);
+  fam->commit_quorum = majority.commit_quorum;
+  fam->abort_quorum = majority.abort_quorum;
 
   // Change 5: the coordinator prepares (forces its prepare record, which also
-  // hardens its own update records) BEFORE sending the prepare message. A
-  // read-only coordinator skips this so that a completely read-only
-  // transaction keeps the two-phase critical path (paper, Section 6).
-  if (local_updates) {
-    const Lsn prep_lsn = log_.Append(LogRecord::Prepare(fam->top, site_.id(), fam->sites,
-                                                        CommitProtocol::kNonBlocking,
-                                                        fam->commit_quorum, fam->abort_quorum));
-    if (!co_await ForceAt("tm.nbc.prepare_force", fam->top.family, prep_lsn)) {
-      co_return UnavailableError("crashed during prepare force");
-    }
+  // hardens its own update records) BEFORE sending the prepare message.
+  if (!co_await PrepareCoordinator("tm.nbc.prepare_force", fam, local_updates)) {
+    co_return UnavailableError("crashed during prepare");
   }
-  if (AtTransition("tm.prepared")) {
-    co_return UnavailableError("site crashed");
-  }
-  fam->state = TmTxnState::kPrepared;
-
-  // Change 1: the prepare message carries the site list and quorum sizes.
-  TmMsg prepare;
-  prepare.type = TmMsgType::kPrepare;
-  prepare.tid = fam->top;
-  prepare.protocol = CommitProtocol::kNonBlocking;
-  prepare.sites = fam->sites;
-  prepare.commit_quorum = fam->commit_quorum;
-  prepare.abort_quorum = fam->abort_quorum;
-  prepare.deadline = fam->deadline;
-
+  const TmMsg prepare = PrepareFor(*fam);
   VoteRound votes = co_await GatherVotes(fam, prepare, subs);
   if (Dead(inc)) {
     co_return UnavailableError("site crashed");
@@ -1301,8 +1351,9 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
 
   if (votes.update_subs.empty()) {
     // Only this site (at most) made updates: no replication phase is needed,
-    // the local commit record alone decides.
-    Status status = co_await CommitLocalOnlyNbc(fam, local_updates, subs);
+    // the local commit record alone decides. Read-only subordinates (passive
+    // acceptors) are told the outcome for their tombstones; no acks matter.
+    Status status = co_await CommitLocalOnly(fam, local_updates, subs);
     co_return status;
   }
 
@@ -1320,19 +1371,12 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
 
   // Replication phase (change 3): replicate the commit intent until a commit
   // quorum (counting our own forced records) exists.
-  fam->has_replication = true;
-  fam->replicated_epoch = MakeEpoch(0, site_.id());
-  fam->replicated_decision = TmDecision::kCommit;
-  const Lsn rep_lsn = log_.Append(LogRecord::Replication(
-      fam->top, site_.id(), fam->replicated_epoch, static_cast<uint8_t>(TmDecision::kCommit),
-      fam->sites, fam->protocol, fam->commit_quorum, fam->abort_quorum));
+  const Lsn rep_lsn = AcceptValue(fam, site_.id(), MakeEpoch(0, site_.id()), TmDecision::kCommit);
   if (!co_await ForceAt("tm.nbc.replicate_force", fam->top.family, rep_lsn)) {
     co_return UnavailableError("crashed during replication force");
   }
 
-  TmMsg replicate;
-  replicate.type = TmMsgType::kReplicate;
-  replicate.tid = fam->top;
+  TmMsg replicate = MakeMsg(TmMsgType::kReplicate, fam->top);
   replicate.epoch = fam->replicated_epoch;
   replicate.decision = TmDecision::kCommit;
   replicate.commit_quorum = fam->commit_quorum;
@@ -1346,7 +1390,7 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
   std::vector<SiteId> targets = votes.update_subs;
   std::set<SiteId> readonly_pool;
   for (SiteId s : subs) {
-    if (std::find(targets.begin(), targets.end(), s) == targets.end()) {
+    if (!Contains(targets, s)) {
       readonly_pool.insert(s);
     }
   }
@@ -1358,22 +1402,22 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
   int rounds = 0;
   SendMsgToAll(targets, replicate);
   while (acked.size() + 1 < fam->commit_quorum) {
-    auto msg = co_await fam->inbox->ReceiveTimeout(config_.retry_interval);
-    if (Dead(inc) || fam->inbox->closed()) {
-      co_return UnavailableError("site crashed");
-    }
-    if (msg.has_value()) {
-      if (msg->type == TmMsgType::kReplicateAck && msg->epoch == replicate.epoch) {
-        acked.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        // A takeover coordinator beat us to the decision: adopt it.
-        co_await SubordinateCommit(fam);
+    TmMsg msg;
+    const Wake wake = co_await ReceiveOrAdopt(fam, inc, config_.retry_interval, msg);
+    switch (wake) {
+      case Wake::kMessage:
+        if (msg.type == TmMsgType::kReplicateAck && msg.epoch == replicate.epoch) {
+          acked.insert(msg.from);
+        }
+        continue;
+      case Wake::kSilence:
+        break;
+      case Wake::kAdoptedCommit:
         co_return OkStatus();
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
+      case Wake::kAdoptedAbort:
         co_return AbortedError("aborted by a takeover coordinator");
-      }
-      continue;
+      case Wake::kGone:
+        co_return UnavailableError("site crashed");
     }
     ++rounds;
     if (rounds > 2 && !readonly_pool.empty()) {
@@ -1381,12 +1425,8 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
       readonly_pool.clear();
     }
     if (rounds > config_.max_takeover_rounds) {
-      // Cannot reach a commit quorum (multiple failures / partition). Demote
-      // ourselves to an ordinary blocked participant: the takeover machinery
-      // (ours, or a subordinate's) finishes the job when connectivity returns.
-      fam->takeover_round = 0;
-      site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-      co_return BlockedError("commit quorum unreachable; transaction left prepared");
+      // Cannot reach a commit quorum (multiple failures / partition).
+      co_return ParkInDoubt(fam, inc, "commit quorum unreachable; transaction left prepared");
     }
     std::vector<SiteId> missing;
     for (SiteId s : targets) {
@@ -1402,39 +1442,13 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, const CommitOptions& /
   if (!co_await ForceAt("tm.nbc.commit_force", fam->top.family, commit_lsn)) {
     co_return UnavailableError("crashed during commit force");
   }
-  if (AtTransition("tm.committed")) {
+  if (!ApplyCommit(fam)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
-  NotifyServersDropLocks(*fam);
   // Notify phase covers EVERY subordinate still holding state: update subs
   // write their commit records; read-only passive acceptors tombstone the
   // outcome (change 4) and ack immediately.
   site_.sched().Spawn(CoordinatorPhase2(fam->top.family, subs));
-  co_return OkStatus();
-}
-
-Async<Status> TranMan::CommitLocalOnlyNbc(Family* fam, bool local_updates,
-                                          const std::vector<SiteId>& subs) {
-  if (local_updates) {
-    const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await ForceAt("tm.local.commit_force", fam->top.family, lsn)) {
-      co_return UnavailableError("crashed during commit force");
-    }
-  }
-  if (AtTransition("tm.committed")) {
-    co_return UnavailableError("site crashed");
-  }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
-  NotifyServersDropLocks(*fam);
-  // Tell read-only subordinates (passive acceptors) the outcome so their
-  // tombstones are right; no acks matter.
-  TmMsg commit;
-  commit.type = TmMsgType::kCommit;
-  commit.tid = fam->top;
-  SendMsgToAll(subs, commit);
   co_return OkStatus();
 }
 
@@ -1447,58 +1461,59 @@ std::vector<SiteId> TranMan::PaxosAcceptors(const std::vector<SiteId>& sites,
   return {sites.begin(), sites.begin() + static_cast<std::ptrdiff_t>(a)};
 }
 
-Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<SiteId> subs,
-                                       bool local_updates) {
+uint32_t TranMan::PaxosCommitQuorum(uint32_t f, size_t participants) {
+  uint32_t acceptors = std::min<uint32_t>(2 * f + 1, static_cast<uint32_t>(participants));
+  if (acceptors % 2 == 0) {
+    --acceptors;
+  }
+  return (acceptors - 1) / 2 + 1;
+}
+
+TranMan::QuorumPolicy TranMan::PolicyFor(CommitProtocol protocol,
+                                         const std::vector<SiteId>& sites,
+                                         uint32_t commit_quorum, uint32_t abort_quorum) {
+  const uint32_t n = static_cast<uint32_t>(sites.size());
+  QuorumPolicy policy;
+  policy.commit_quorum = commit_quorum != 0 ? commit_quorum : n / 2 + 1;
+  if (protocol == CommitProtocol::kPaxos) {
+    policy.acceptors = PaxosAcceptors(sites, policy.commit_quorum);
+    policy.abort_quorum = abort_quorum != 0 ? abort_quorum : policy.commit_quorum;
+    policy.promised_reads = true;
+    policy.decision_spool = "paxos.commit";
+  } else {
+    policy.acceptors = sites;
+    policy.abort_quorum = abort_quorum != 0 ? abort_quorum : n + 1 - policy.commit_quorum;
+    policy.decision_force = "tm.takeover.commit_force";
+  }
+  return policy;
+}
+
+Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t commit_quorum,
+                                       std::vector<SiteId> subs, bool local_updates) {
   const uint32_t inc = site_.incarnation();
-  fam->is_coordinator = true;
-  fam->coordinator = site_.id();
-  fam->protocol = CommitProtocol::kPaxos;
-  fam->force_sub_commit = false;  // The notify phase always uses the optimized form.
-  fam->piggyback_ack = true;
-  fam->sites.clear();
-  fam->sites.push_back(site_.id());
-  fam->sites.insert(fam->sites.end(), subs.begin(), subs.end());
-  fam->commit_quorum = f_eff + 1;
-  fam->abort_quorum = f_eff + 1;
-  fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
+  // The notify phase always uses the optimized form.
+  TakeCoordinatorRole(fam, CommitOptions::Paxos(commit_quorum - 1), subs);
+  fam->commit_quorum = commit_quorum;
+  fam->abort_quorum = commit_quorum;
 
   // An updating coordinator prepares (hardening its updates) before fanning
   // out, like NBC: its vote must survive a crash once it reaches an acceptor.
-  if (local_updates) {
-    const Lsn prep_lsn = log_.Append(LogRecord::Prepare(fam->top, site_.id(), fam->sites,
-                                                        CommitProtocol::kPaxos,
-                                                        fam->commit_quorum, fam->abort_quorum));
-    if (!co_await ForceAt("tm.paxos.prepare_force", fam->top.family, prep_lsn)) {
-      co_return UnavailableError("crashed during prepare force");
-    }
+  if (!co_await PrepareCoordinator("tm.paxos.prepare_force", fam, local_updates)) {
+    co_return UnavailableError("crashed during prepare");
   }
-  if (AtTransition("tm.prepared")) {
-    co_return UnavailableError("site crashed");
-  }
-  fam->state = TmTxnState::kPrepared;
   fam->paxos_votes[site_.id()] = local_updates ? TmVote::kCommit : TmVote::kReadOnly;
-
-  TmMsg prepare;
-  prepare.type = TmMsgType::kPrepare;
-  prepare.tid = fam->top;
-  prepare.protocol = CommitProtocol::kPaxos;
-  prepare.sites = fam->sites;
-  prepare.commit_quorum = fam->commit_quorum;
-  prepare.abort_quorum = fam->abort_quorum;
-  prepare.deadline = fam->deadline;
 
   // The coordinator is acceptor 0; the replicated registrar is the first
   // 2F+1 participant sites. Its own vote goes to the other acceptors, since
   // each needs the complete vote set to form its ballot-0 accept.
   const std::vector<SiteId> acceptors = PaxosAcceptors(fam->sites, fam->commit_quorum);
   const std::vector<SiteId> remote_acceptors(acceptors.begin() + 1, acceptors.end());
-  TmMsg own_vote;
-  own_vote.type = TmMsgType::kVote;
-  own_vote.tid = fam->top;
+  TmMsg own_vote = MakeMsg(TmMsgType::kVote, fam->top);
   own_vote.protocol = CommitProtocol::kPaxos;
   own_vote.vote = local_updates ? TmVote::kCommit : TmVote::kReadOnly;
   SendMsgToAll(remote_acceptors, own_vote);
 
+  const TmMsg prepare = PrepareFor(*fam);
   VoteRound votes = co_await GatherVotes(fam, prepare, subs);
   if (Dead(inc)) {
     co_return UnavailableError("site crashed");
@@ -1513,27 +1528,18 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
     // A silent participant: its yes vote may already sit at an acceptor, so
     // unlike 2PC/NBC we may NOT presume abort — a later leader could find a
     // commit accept. Park and resolve through ballot promotion.
-    fam->takeover_round = 0;
-    site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-    co_return BlockedError("votes incomplete; resolving through takeover");
+    co_return ParkInDoubt(fam, inc, "votes incomplete; resolving through takeover");
   }
 
   if (votes.update_subs.empty() && !local_updates) {
     // Entirely read-only: trivially committed, nothing to replicate. Tell the
     // lingering read-only acceptors so their tombstones are right (their acks
     // land on the retired family and are dropped).
-    if (AtTransition("tm.committed")) {
-      co_return UnavailableError("site crashed");
+    Status status = co_await CommitLocalOnly(fam, /*has_updates=*/false, remote_acceptors);
+    if (status.ok()) {
+      RetireFamily(fam->top.family);
     }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    SendMsgToAll(remote_acceptors, commit);
-    RetireFamily(fam->top.family);
-    co_return OkStatus();
+    co_return status;
   }
 
   // A takeover raced the vote gathering: we promised a higher ballot or
@@ -1541,18 +1547,11 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   // must not unilaterally abort either — the fanned-out votes may let another
   // quorum decide commit. Park and let the takeover machinery resolve it.
   if (fam->has_replication || fam->promised_epoch > 0) {
-    fam->takeover_round = 0;
-    site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-    co_return BlockedError("superseded by a takeover round during vote gathering");
+    co_return ParkInDoubt(fam, inc, "superseded by a takeover round during vote gathering");
   }
 
   // Ballot-0 accept at acceptor 0.
-  fam->has_replication = true;
-  fam->replicated_epoch = MakeEpoch(0, site_.id());
-  fam->replicated_decision = TmDecision::kCommit;
-  const Lsn rep_lsn = log_.Append(LogRecord::Replication(
-      fam->top, site_.id(), fam->replicated_epoch, static_cast<uint8_t>(TmDecision::kCommit),
-      fam->sites, CommitProtocol::kPaxos, fam->commit_quorum, fam->abort_quorum));
+  const Lsn rep_lsn = AcceptValue(fam, site_.id(), MakeEpoch(0, site_.id()), TmDecision::kCommit);
   if (!co_await ForceAt("tm.paxos.accept_force", fam->top.family, rep_lsn)) {
     co_return UnavailableError("crashed during accept force");
   }
@@ -1561,29 +1560,26 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   std::set<SiteId> accepted;
   int rounds = 0;
   while (accepted.size() + 1 < fam->commit_quorum) {
-    auto msg = co_await fam->inbox->ReceiveTimeout(config_.retry_interval);
-    if (Dead(inc) || fam->inbox->closed()) {
-      co_return UnavailableError("site crashed");
-    }
-    if (msg.has_value()) {
-      if (msg->type == TmMsgType::kPaxosAccepted && msg->epoch == fam->replicated_epoch) {
-        accepted.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
+    TmMsg msg;
+    const Wake wake = co_await ReceiveOrAdopt(fam, inc, config_.retry_interval, msg);
+    switch (wake) {
+      case Wake::kMessage:
+        if (msg.type == TmMsgType::kPaxosAccepted && msg.epoch == fam->replicated_epoch) {
+          accepted.insert(msg.from);
+        }
+        continue;
+      case Wake::kSilence:
+        break;
+      case Wake::kAdoptedCommit:
         co_return OkStatus();
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
+      case Wake::kAdoptedAbort:
         co_return AbortedError("aborted by a takeover coordinator");
-      }
-      continue;
+      case Wake::kGone:
+        co_return UnavailableError("site crashed");
     }
-    ++rounds;
-    if (rounds > config_.max_takeover_rounds) {
-      // More than F acceptors unreachable: demote to an ordinary blocked
-      // participant; takeover resumes when connectivity returns.
-      fam->takeover_round = 0;
-      site_.sched().Spawn(SubordinateWait(fam->top.family, inc));
-      co_return BlockedError("accept quorum unreachable; transaction left prepared");
+    if (++rounds > config_.max_takeover_rounds) {
+      // More than F acceptors unreachable.
+      co_return ParkInDoubt(fam, inc, "accept quorum unreachable; transaction left prepared");
     }
     // Retransmitted prepares make every participant re-vote to the whole
     // acceptor set, re-feeding any acceptor whose vote copies were lost.
@@ -1595,19 +1591,15 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<
   // recovering leader re-derives it from the acceptor set.
   std::vector<SiteId> notify = votes.update_subs;
   for (SiteId s : remote_acceptors) {
-    if (std::find(votes.update_subs.begin(), votes.update_subs.end(), s) ==
-        votes.update_subs.end()) {
+    if (!Contains(votes.update_subs, s)) {
       notify.push_back(s);
     }
   }
   log_.Append(LogRecord::Commit(fam->top, notify));
   RecordSpool(fam->top.family, "coord", "paxos.commit");
-  if (AtTransition("tm.committed")) {
+  if (!ApplyCommit(fam)) {
     co_return UnavailableError("site crashed");
   }
-  fam->state = TmTxnState::kCommitted;
-  RecordOutcome(fam->top.family, /*committed=*/true);
-  NotifyServersDropLocks(*fam);
   // Notify phase: update subordinates write commit records; read-only
   // acceptors tombstone the outcome and ack immediately.
   site_.sched().Spawn(CoordinatorPhase2(fam->top.family, std::move(notify)));
@@ -1635,8 +1627,7 @@ Async<void> TranMan::TryFormPaxosAccept(FamilyId family_id, uint32_t inc) {
   if (fam->sites.empty() || fam->commit_quorum == 0) {
     co_return;  // No paxos context yet (a vote raced the prepare).
   }
-  const std::vector<SiteId> acceptors = PaxosAcceptors(fam->sites, fam->commit_quorum);
-  if (std::find(acceptors.begin(), acceptors.end(), site_.id()) == acceptors.end()) {
+  if (!Contains(PaxosAcceptors(fam->sites, fam->commit_quorum), site_.id())) {
     co_return;  // Not an acceptor.
   }
   bool any_update = false;
@@ -1653,13 +1644,8 @@ Async<void> TranMan::TryFormPaxosAccept(FamilyId family_id, uint32_t inc) {
   // Complete all-yes vote set: form this acceptor's batched ballot-0 accept.
   // has_replication flips before the force so a concurrent vote arrival
   // cannot re-enter.
-  fam->has_replication = true;
-  fam->replicated_epoch = MakeEpoch(0, fam->coordinator);
-  fam->replicated_decision = TmDecision::kCommit;
-  const Lsn lsn = log_.Append(LogRecord::Replication(
-      fam->top, fam->coordinator, fam->replicated_epoch,
-      static_cast<uint8_t>(TmDecision::kCommit), fam->sites, CommitProtocol::kPaxos,
-      fam->commit_quorum, fam->abort_quorum));
+  const Lsn lsn = AcceptValue(fam, fam->coordinator, MakeEpoch(0, fam->coordinator),
+                              TmDecision::kCommit);
   if (!co_await DirectForceAt("tm.paxos.accept_force", family_id, lsn)) {
     co_return;
   }
@@ -1668,9 +1654,7 @@ Async<void> TranMan::TryFormPaxosAccept(FamilyId family_id, uint32_t inc) {
     co_return;
   }
   if (fam->coordinator != site_.id()) {
-    TmMsg accepted;
-    accepted.type = TmMsgType::kPaxosAccepted;
-    accepted.tid = fam->top;
+    TmMsg accepted = MakeMsg(TmMsgType::kPaxosAccepted, fam->top);
     accepted.epoch = fam->replicated_epoch;
     SendMsg(fam->coordinator, accepted);
   }
@@ -1682,18 +1666,18 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   const uint32_t inc = site_.incarnation();
   ++counters_.prepares_handled;
   Family* fam = FindFamily(msg.tid.family);
+  const bool paxos = msg.protocol == CommitProtocol::kPaxos;
 
   // Paxos votes go to the whole acceptor set (minus ourselves), derived from
   // the prepare itself so even a retired family can re-vote correctly.
-  const auto paxos_vote_targets = [this, &msg]() {
-    std::vector<SiteId> targets = PaxosAcceptors(msg.sites, msg.commit_quorum);
-    targets.erase(std::remove(targets.begin(), targets.end(), site_.id()), targets.end());
-    return targets;
-  };
-  const auto send_vote = [&](TmMsg vote) {
-    if (msg.protocol == CommitProtocol::kPaxos) {
+  const auto send_vote = [&](TmVote value) {
+    TmMsg vote = MakeMsg(TmMsgType::kVote, msg.tid);
+    vote.vote = value;
+    if (paxos) {
       vote.protocol = CommitProtocol::kPaxos;
-      SendMsgToAll(paxos_vote_targets(), vote);
+      std::vector<SiteId> targets = PaxosAcceptors(msg.sites, msg.commit_quorum);
+      targets.erase(std::remove(targets.begin(), targets.end(), site_.id()), targets.end());
+      SendMsgToAll(targets, vote);
     } else {
       SendMsg(msg.from, vote);
     }
@@ -1701,11 +1685,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
 
   if (fam != nullptr && fam->state == TmTxnState::kPrepared && !fam->passive_acceptor) {
     // Duplicate prepare: our vote was lost somewhere; re-vote.
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kCommit;
-    send_vote(std::move(vote));
+    send_vote(TmVote::kCommit);
     co_return;
   }
   if (fam != nullptr && (fam->state == TmTxnState::kCommitted ||
@@ -1713,11 +1693,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
     co_return;  // Stale retransmission.
   }
   if (fam != nullptr && fam->passive_acceptor) {
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kReadOnly;
-    send_vote(std::move(vote));
+    send_vote(TmVote::kReadOnly);
     co_return;
   }
   if (fam != nullptr && fam->committing) {
@@ -1727,17 +1703,11 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   }
   if (fam == nullptr) {
     if (readonly_voted_.contains(msg.tid.family)) {
-      TmMsg vote;
-      vote.type = TmMsgType::kVote;
-      vote.tid = msg.tid;
-      vote.vote = TmVote::kReadOnly;
-      send_vote(std::move(vote));
+      send_vote(TmVote::kReadOnly);
       co_return;
     }
     // We know nothing (e.g. our volatile state died): refuse, forcing abort.
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
+    TmMsg vote = MakeMsg(TmMsgType::kVote, msg.tid);
     vote.vote = TmVote::kAbort;
     SendMsg(msg.from, vote);
     co_return;
@@ -1750,20 +1720,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
     // abort vote is safe, and aborting locally releases the locks now.
     ++counters_.deadline_shed;
     fam->committing = true;
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "sub", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
-      co_return;
-    }
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kAbort;
-    SendMsg(msg.from, vote);
-    fam->state = TmTxnState::kAborted;
-    RecordOutcome(msg.tid.family, /*committed=*/false);
-    RetireFamily(msg.tid.family);
+    co_await RefuseAndForget(fam, msg.from);
     co_return;
   }
 
@@ -1787,65 +1744,40 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   }
 
   if (local_vote == ServerVote::kNo) {
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "sub", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
-      co_return;
-    }
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kAbort;
-    SendMsg(msg.from, vote);
-    fam->state = TmTxnState::kAborted;
-    RecordOutcome(msg.tid.family, /*committed=*/false);
-    RetireFamily(msg.tid.family);
+    co_await RefuseAndForget(fam, msg.from);
     co_return;
   }
 
   if (local_vote == ServerVote::kReadOnly) {
     // Read-only optimization: no log records, locks dropped now, and no part
-    // in the second (or replication/notify) phase.
+    // in the second (or replication/notify) phase. A read-only site lingers
+    // as a passive acceptor / status responder (change 4) under NBC, and
+    // under Paxos inside the acceptor set: the registrar needs its accept
+    // and status answers even though it holds no data.
     ++counters_.read_only_votes;
     NotifyServersDropLocks(*fam);
-    bool lingers = msg.protocol == CommitProtocol::kNonBlocking;
-    if (msg.protocol == CommitProtocol::kPaxos) {
-      // A read-only site inside the acceptor set must linger: the registrar
-      // needs its accept and status answers even though it holds no data.
-      const std::vector<SiteId> acceptors = PaxosAcceptors(msg.sites, msg.commit_quorum);
-      lingers = std::find(acceptors.begin(), acceptors.end(), site_.id()) != acceptors.end();
-    }
+    const bool lingers = paxos ? Contains(PaxosAcceptors(msg.sites, msg.commit_quorum), site_.id())
+                               : msg.protocol == CommitProtocol::kNonBlocking;
     if (lingers) {
-      // Linger as a passive acceptor / status responder (change 4).
       fam->passive_acceptor = true;
       fam->state = TmTxnState::kPrepared;
-      if (msg.protocol == CommitProtocol::kPaxos) {
+      if (paxos) {
         fam->paxos_votes[site_.id()] = TmVote::kReadOnly;
       }
     }
-    TmMsg vote;
-    vote.type = TmMsgType::kVote;
-    vote.tid = msg.tid;
-    vote.vote = TmVote::kReadOnly;
-    send_vote(std::move(vote));
-    if (lingers) {
-      if (msg.protocol == CommitProtocol::kPaxos) {
-        co_await TryFormPaxosAccept(msg.tid.family, inc);
-      }
-    } else {
+    send_vote(TmVote::kReadOnly);
+    if (!lingers) {
       readonly_voted_.insert(msg.tid.family);
       RetireFamily(msg.tid.family);
+    } else if (paxos) {
+      co_await TryFormPaxosAccept(msg.tid.family, inc);
     }
     co_return;
   }
 
   // Update subordinate: force the prepare record (which also hardens all our
   // update records, making this the "one fewer log force" baseline).
-  const Lsn prep_lsn = log_.Append(LogRecord::Prepare(fam->top, msg.from, msg.sites,
-                                                      msg.protocol, msg.commit_quorum,
-                                                      msg.abort_quorum));
-  if (!co_await ForceAt("tm.sub.prepare_force", fam->top.family, prep_lsn)) {
+  if (!co_await ForceAt("tm.sub.prepare_force", fam->top.family, AppendPrepare(*fam))) {
     co_return;
   }
   fam = FindFamily(msg.tid.family);
@@ -1857,17 +1789,12 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
   }
   fam->state = TmTxnState::kPrepared;
   fam->inbox = std::make_shared<Channel<TmMsg>>(site_.sched());
-  if (msg.protocol == CommitProtocol::kPaxos) {
+  if (paxos) {
     fam->paxos_votes[site_.id()] = TmVote::kCommit;
   }
-
-  TmMsg vote;
-  vote.type = TmMsgType::kVote;
-  vote.tid = msg.tid;
-  vote.vote = TmVote::kCommit;
-  send_vote(std::move(vote));
+  send_vote(TmVote::kCommit);
   site_.sched().Spawn(SubordinateWait(msg.tid.family, inc));
-  if (msg.protocol == CommitProtocol::kPaxos) {
+  if (paxos) {
     // Votes that arrived while our prepare force was in flight may have
     // completed the set.
     co_await TryFormPaxosAccept(msg.tid.family, inc);
@@ -1919,16 +1846,11 @@ Async<void> TranMan::SubordinateWait(FamilyId family_id, uint32_t inc) {
         MarkBlocked(fam);
         ++counters_.status_queries;
         ++status_rounds;
-        TmMsg req;
-        req.type = TmMsgType::kStatusReq;
-        req.tid = fam->top;
-        SendMsg(fam->coordinator, req);
+        SendMsg(fam->coordinator, MakeMsg(TmMsgType::kStatusReq, fam->top));
         continue;
       }
       // NBC/Paxos: become a coordinator (change 2 / leader takeover).
-      const bool resolved = fam->protocol == CommitProtocol::kPaxos
-                                ? co_await TakeoverPaxos(family_id, inc)
-                                : co_await Takeover(family_id, inc);
+      const bool resolved = co_await Takeover(family_id, inc);
       if (resolved || Dead(inc)) {
         co_return;
       }
@@ -2008,10 +1930,7 @@ Async<void> TranMan::SubordinateCommit(Family* fam) {
     if (fam->piggyback_ack) {
       site_.sched().Spawn(DelayedCommitAck(family_id, fam->top, fam->coordinator, lsn, inc));
     } else {
-      TmMsg ack;
-      ack.type = TmMsgType::kCommitAck;
-      ack.tid = fam->top;
-      SendMsg(fam->coordinator, ack);
+      SendMsg(fam->coordinator, MakeMsg(TmMsgType::kCommitAck, fam->top));
       if (fam->protocol == CommitProtocol::kTwoPhase && !fam->heuristic) {
         RetireFamily(family_id);
       }
@@ -2039,11 +1958,8 @@ Async<void> TranMan::DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordi
   if (!co_await DirectForceAt("tm.sub.ack_force", family_id, commit_lsn)) {
     co_return;
   }
-  TmMsg ack;
-  ack.type = TmMsgType::kCommitAck;
-  ack.tid = top;
   // The ack is never on anyone's critical path: let it ride other traffic.
-  QueueOffPath(coordinator, ack);
+  QueueOffPath(coordinator, MakeMsg(TmMsgType::kCommitAck, top));
   Family* fam = FindFamily(family_id);
   if (fam != nullptr && fam->protocol == CommitProtocol::kTwoPhase && !fam->heuristic) {
     RetireFamily(family_id);
@@ -2051,17 +1967,13 @@ Async<void> TranMan::DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordi
 }
 
 Async<void> TranMan::SubordinateAbort(Family* fam) {
-  const uint32_t inc = site_.incarnation();
   if (fam->state == TmTxnState::kCommitted || fam->state == TmTxnState::kAborted) {
     ++counters_.duplicate_effects;  // See SubordinateCommit: exactly-once sensor.
     co_return;
   }
   ClearBlocked(fam);
   const FamilyId family_id = fam->top.family;
-  log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(family_id, "sub", "abort");
-  co_await CallServersAbort(*fam);
-  if (Dead(inc)) {
+  if (!co_await UndoForAbort(fam, "sub")) {
     co_return;
   }
   fam = FindFamily(family_id);
@@ -2116,10 +2028,7 @@ Async<void> TranMan::OrphanWatch(FamilyId family_id, uint32_t inc) {
     if (presume_dead) {
       // Safe: we never prepared, so the transaction cannot have committed.
       fam->committing = true;
-      log_.Append(LogRecord::Abort(fam->top));
-      RecordSpool(fam->top.family, "sub", "abort");
-      co_await CallServersAbort(*fam);
-      if (Dead(inc)) {
+      if (!co_await UndoForAbort(fam, "sub")) {
         co_return;
       }
       fam = FindFamily(family_id);
@@ -2134,7 +2043,14 @@ Async<void> TranMan::OrphanWatch(FamilyId family_id, uint32_t inc) {
   }
 }
 
-// --- Takeover (NBC, change 2) -----------------------------------------------------------------
+// --- Takeover (NBC change 2 / Paxos Commit leader promotion) ---------------------------------
+
+Async<bool> TranMan::TakeoverStalled(Family* fam) {
+  MarkBlocked(fam);
+  co_await site_.sched().Delay(
+      Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
+  co_return false;
+}
 
 Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   Family* fam = FindFamily(family_id);
@@ -2142,6 +2058,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
     co_return true;
   }
   ++counters_.takeovers;
+  const QuorumPolicy policy = PolicyFor(*fam);
   const uint64_t epoch = NextEpoch(fam);
   std::vector<SiteId> others;
   for (SiteId s : fam->sites) {
@@ -2149,372 +2066,105 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
       others.push_back(s);
     }
   }
-  const uint32_t n = static_cast<uint32_t>(fam->sites.size());
-  const uint32_t qc = fam->commit_quorum != 0 ? fam->commit_quorum : n / 2 + 1;
-  const uint32_t qa = fam->abort_quorum != 0 ? fam->abort_quorum : n + 1 - qc;
+  const bool self_acceptor = Contains(policy.acceptors, site_.id());
 
-  // Status phase: read the participants' states (and take their promises).
-  TmMsg req;
-  req.type = TmMsgType::kStatusReq;
-  req.tid = fam->top;
+  // Status phase: read the participants' states and take their promises.
+  // A promised read makes even a family-less acceptor promise, turning its
+  // kUnknown into countable "no accepted value" testimony.
+  TmMsg req = MakeMsg(TmMsgType::kStatusReq, fam->top);
   req.epoch = epoch;
+  req.promised = policy.promised_reads;
   SendMsgToAll(others, req);
+  std::unordered_map<SiteId, TmMsg> answers;
+  if (!co_await CollectFor(
+          fam, inc, 2 * config_.retry_interval,
+          [&] { return answers.size() >= others.size(); },
+          [&](const TmMsg& m) {
+            if (m.type == TmMsgType::kStatusResp) {
+              answers[m.from] = m;
+            }
+          })) {
+    co_return true;
+  }
 
-  std::unordered_map<SiteId, TmMsg> responses;
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    while (site_.sched().now() < deadline &&
-           responses.size() < others.size()) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kStatusResp) {
-        responses[msg->from] = *msg;
-      } else if (msg->type == TmMsgType::kCommit) {
+  // Adopt any already-final outcome (participants keep tombstones, so late
+  // leaders find the truth instead of re-deciding).
+  for (const auto& [from, resp] : answers) {
+    if (resp.state == TmTxnState::kCommitted || resp.state == TmTxnState::kAborted) {
+      const bool committed = resp.state == TmTxnState::kCommitted;
+      if (committed) {
         co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
+      } else {
         co_await SubordinateAbort(fam);
-        co_return true;
       }
-    }
-  }
-
-  // Adopt any already-final outcome.
-  for (const auto& [from, resp] : responses) {
-    if (resp.state == TmTxnState::kCommitted) {
-      co_await SubordinateCommit(fam);
-      TmMsg commit;
-      commit.type = TmMsgType::kCommit;
-      commit.tid = fam->top;
-      SendMsgToAll(others, commit);
-      co_return true;
-    }
-    if (resp.state == TmTxnState::kAborted) {
-      co_await SubordinateAbort(fam);
-      TmMsg abort;
-      abort.type = TmMsgType::kAbort;
-      abort.tid = fam->top;
-      SendMsgToAll(others, abort);
+      SendMsgToAll(others,
+                   MakeMsg(committed ? TmMsgType::kCommit : TmMsgType::kAbort, fam->top));
       co_return true;
     }
   }
 
-  // Choose a proposal: the highest-epoch replicated decision wins; with no
-  // replication evidence anywhere, abort is the safe default.
+  // Proposal: the highest-epoch accepted decision among the acceptors wins;
+  // with no accept anywhere, abort is the safe default (a commit quorum
+  // would intersect the read set in at least one acceptor).
   TmDecision proposal = TmDecision::kAbort;
   uint64_t best_epoch = 0;
-  bool any_replication = false;
-  auto consider = [&](bool has, uint64_t rep_epoch, TmDecision dec) {
-    if (has && (!any_replication || rep_epoch > best_epoch)) {
-      any_replication = true;
-      best_epoch = rep_epoch;
-      proposal = dec;
-    }
-  };
-  consider(fam->has_replication, fam->replicated_epoch, fam->replicated_decision);
-  uint32_t abort_static_support = 0;  // kUnknown/read-only: can never join a commit quorum.
-  uint32_t prepared_count = 0;
-  for (const auto& [from, resp] : responses) {
-    consider(resp.has_replication, resp.replicated_epoch, resp.replicated_decision);
-    if (resp.state == TmTxnState::kUnknown) {
-      ++abort_static_support;
-    } else if (resp.state == TmTxnState::kPrepared) {
-      ++prepared_count;
-    }
-  }
-
-  // Safety: the read (promise) set must intersect every quorum of the other
-  // decision. With Qc + Qa = n + 1 that means max(Qc, Qa) responses incl. us.
-  const uint32_t read_set = static_cast<uint32_t>(responses.size()) + 1;
-  if (read_set < std::max(qc, qa)) {
-    // No reachable quorum: we are blocked too (NBC's minority side), just
-    // like a 2PC subordinate in the window of vulnerability.
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;  // Not enough of the cohort reachable; stay blocked.
-  }
-
-  const uint32_t needed = proposal == TmDecision::kCommit ? qc : qa;
-
-  // Accept our own proposal durably.
-  fam->promised_epoch = std::max(fam->promised_epoch, epoch);
-  fam->has_replication = true;
-  fam->replicated_epoch = epoch;
-  fam->replicated_decision = proposal;
-  const Lsn rep_lsn = log_.Append(LogRecord::Replication(fam->top, site_.id(), epoch,
-                                                         static_cast<uint8_t>(proposal),
-                                                         fam->sites, fam->protocol,
-                                                         fam->commit_quorum, fam->abort_quorum));
-  if (!co_await DirectForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn)) {
-    co_return true;
-  }
-  fam = FindFamily(family_id);
-  if (fam == nullptr) {
-    co_return true;
-  }
-
-  TmMsg replicate;
-  replicate.type = TmMsgType::kReplicate;
-  replicate.tid = fam->top;
-  replicate.epoch = epoch;
-  replicate.decision = proposal;
-  std::vector<SiteId> acceptors;
-  for (const auto& [from, resp] : responses) {
-    if (resp.state == TmTxnState::kPrepared) {
-      acceptors.push_back(from);
-    }
-  }
-  SendMsgToAll(acceptors, replicate);
-
-  uint32_t support = 1;  // Ourselves.
-  if (proposal == TmDecision::kAbort) {
-    support += abort_static_support;
-  }
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    std::set<SiteId> acked;
-    while (support + acked.size() < needed && site_.sched().now() < deadline) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kReplicateAck && msg->epoch == epoch) {
-        acked.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
-    }
-    support += static_cast<uint32_t>(acked.size());
-  }
-
-  if (support < needed) {
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;  // Quorum not reached this round.
-  }
-
-  // Decision point.
-  if (proposal == TmDecision::kCommit) {
-    const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await DirectForceAt("tm.takeover.commit_force", fam->top.family, commit_lsn)) {
-      co_return true;
-    }
-    fam = FindFamily(family_id);
-    if (fam == nullptr) {
-      co_return true;
-    }
-    ClearBlocked(fam);
-    if (AtTransition("tm.committed")) {
-      co_return true;
-    }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    SendMsgToAll(others, commit);
-  } else {
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "takeover", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
-      co_return true;
-    }
-    fam = FindFamily(family_id);
-    if (fam == nullptr) {
-      co_return true;
-    }
-    ClearBlocked(fam);
-    if (AtTransition("tm.aborted")) {
-      co_return true;
-    }
-    fam->state = TmTxnState::kAborted;
-    RecordOutcome(fam->top.family, /*committed=*/false);
-    TmMsg abort;
-    abort.type = TmMsgType::kAbort;
-    abort.tid = fam->top;
-    SendMsgToAll(others, abort);
-  }
-  co_return true;
-}
-
-// --- Takeover (Paxos Commit leader promotion) -------------------------------------------------
-
-Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
-  Family* fam = FindFamily(family_id);
-  if (fam == nullptr) {
-    co_return true;
-  }
-  ++counters_.takeovers;
-  const uint64_t epoch = NextEpoch(fam);
-  std::vector<SiteId> others;
-  for (SiteId s : fam->sites) {
-    if (s != site_.id()) {
-      others.push_back(s);
-    }
-  }
-  const uint32_t n = static_cast<uint32_t>(fam->sites.size());
-  const uint32_t qc = fam->commit_quorum != 0 ? fam->commit_quorum : n / 2 + 1;
-  const uint32_t qa = fam->abort_quorum != 0 ? fam->abort_quorum : qc;
-  const std::vector<SiteId> acceptors = PaxosAcceptors(fam->sites, qc);
-  const bool self_acceptor =
-      std::find(acceptors.begin(), acceptors.end(), site_.id()) != acceptors.end();
-
-  // Status phase: read the participants' states (and take acceptor promises —
-  // the protocol marker tells family-less acceptors to promise too, turning
-  // their kUnknown into countable "no accepted value" testimony).
-  TmMsg req;
-  req.type = TmMsgType::kStatusReq;
-  req.tid = fam->top;
-  req.epoch = epoch;
-  req.protocol = CommitProtocol::kPaxos;
-  SendMsgToAll(others, req);
-
-  std::unordered_map<SiteId, TmMsg> responses;
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    while (site_.sched().now() < deadline && responses.size() < others.size()) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
-        co_return true;
-      }
-      fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
-        co_return true;
-      }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kStatusResp) {
-        responses[msg->from] = *msg;
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
-    }
-  }
-
-  // Adopt any already-final outcome (every paxos participant keeps a
-  // tombstone, so late leaders find the truth instead of re-deciding).
-  for (const auto& [from, resp] : responses) {
-    if (resp.state == TmTxnState::kCommitted) {
-      co_await SubordinateCommit(fam);
-      TmMsg commit;
-      commit.type = TmMsgType::kCommit;
-      commit.tid = fam->top;
-      SendMsgToAll(others, commit);
-      co_return true;
-    }
-    if (resp.state == TmTxnState::kAborted) {
-      co_await SubordinateAbort(fam);
-      TmMsg abort;
-      abort.type = TmMsgType::kAbort;
-      abort.tid = fam->top;
-      SendMsgToAll(others, abort);
-      co_return true;
-    }
-  }
-
-  // Read quorum: F+1 acceptors testifying about ballot 0, counting ourselves
-  // if we are one. Two kinds of testimony count: a prepared acceptor (its
-  // response carries a promise at `epoch` plus any accepted value), and a
-  // promised-empty acceptor — no family, but it recorded a promise at `epoch`
-  // when it answered, so "no accepted value" now stays true. A bare kUnknown
-  // (no promise) never counts: an amnesiac acceptor can no longer accept
-  // anything, but neither does it testify about ballot 0.
-  std::vector<SiteId> prepared_acceptors;
-  std::vector<SiteId> promised_empty;
-  for (const auto& [from, resp] : responses) {
-    if (std::find(acceptors.begin(), acceptors.end(), from) == acceptors.end()) {
-      continue;
-    }
-    if (resp.state == TmTxnState::kPrepared) {
-      prepared_acceptors.push_back(from);
-    } else if (resp.state == TmTxnState::kUnknown && resp.promised) {
-      promised_empty.push_back(from);
-    }
-  }
-  const uint32_t read_set = static_cast<uint32_t>(prepared_acceptors.size()) +
-                            static_cast<uint32_t>(promised_empty.size()) +
-                            (self_acceptor ? 1 : 0);
-  if (read_set < qc) {
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;
-  }
-
-  // Proposal: the highest-ballot accepted decision in the read set wins; with
-  // no accept anywhere, abort is the safe default (a commit accept quorum
-  // would intersect our read set in at least one acceptor).
-  TmDecision proposal = TmDecision::kAbort;
-  uint64_t best_epoch = 0;
-  bool any_replication = false;
-  auto consider = [&](bool has, uint64_t rep_epoch, TmDecision dec) {
-    if (has && (!any_replication || rep_epoch > best_epoch)) {
-      any_replication = true;
-      best_epoch = rep_epoch;
-      proposal = dec;
+  bool any_accept = false;
+  const auto consider = [&](bool has, uint64_t accepted_epoch, TmDecision decision) {
+    if (has && (!any_accept || accepted_epoch > best_epoch)) {
+      any_accept = true;
+      best_epoch = accepted_epoch;
+      proposal = decision;
     }
   };
   if (self_acceptor) {
     consider(fam->has_replication, fam->replicated_epoch, fam->replicated_decision);
   }
-  for (const auto& [from, resp] : responses) {
-    if (std::find(acceptors.begin(), acceptors.end(), from) != acceptors.end()) {
-      consider(resp.has_replication, resp.replicated_epoch, resp.replicated_decision);
+  // Testimony toward the read quorum. Under promised reads only a prepared
+  // acceptor or a promised-empty one (no family, but it promised `epoch`,
+  // so "no accepted value" stays true) counts: a bare kUnknown proves
+  // nothing, since an amnesiac acceptor may have accepted and forgotten.
+  // Otherwise every answer counts, and a bare kUnknown can never join a
+  // commit quorum — static abort support.
+  uint32_t read_set = self_acceptor ? 1 : 0;
+  uint32_t static_abort_support = 0;
+  std::vector<SiteId> prepared;
+  std::vector<SiteId> promised_empty;
+  for (const auto& [from, resp] : answers) {
+    if (!Contains(policy.acceptors, from)) {
+      continue;
+    }
+    consider(resp.has_replication, resp.replicated_epoch, resp.replicated_decision);
+    if (policy.promised_reads && resp.state != TmTxnState::kPrepared && !resp.promised) {
+      continue;
+    }
+    ++read_set;
+    if (resp.state == TmTxnState::kPrepared) {
+      prepared.push_back(from);
+    } else if (resp.promised) {
+      promised_empty.push_back(from);
+    } else if (resp.state == TmTxnState::kUnknown) {
+      ++static_abort_support;
     }
   }
 
-  if (fam->promised_epoch > epoch) {
-    // A newer leader read us while we gathered status; defer to it.
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;
+  // Safety: the read set must intersect every quorum of the other decision.
+  // Short of that we are blocked too (NBC's minority side), just like a 2PC
+  // subordinate in the window of vulnerability. Promising a newer leader
+  // while we read also ends this round: our own accept would break that
+  // promise, and the newer leader may have counted us.
+  if (read_set < policy.read_quorum() || fam->promised_epoch > epoch) {
+    co_return co_await TakeoverStalled(fam);
   }
+  const uint32_t needed =
+      proposal == TmDecision::kCommit ? policy.commit_quorum : policy.abort_quorum;
 
-  const uint32_t needed = proposal == TmDecision::kCommit ? qc : qa;
-
-  // Accept phase at this ballot: our own durable accept (if we are an
-  // acceptor) plus REPLICATEs to the prepared acceptors. Only real forced
-  // accepts count toward the quorum — Paxos has no static support.
+  // Accept phase at this epoch: our own durable accept (if we are an
+  // acceptor) plus REPLICATE to the acceptors that testified and can accept.
   fam->promised_epoch = std::max(fam->promised_epoch, epoch);
   uint32_t support = 0;
   if (self_acceptor) {
-    fam->has_replication = true;
-    fam->replicated_epoch = epoch;
-    fam->replicated_decision = proposal;
-    const Lsn rep_lsn = log_.Append(LogRecord::Replication(
-        fam->top, site_.id(), epoch, static_cast<uint8_t>(proposal), fam->sites,
-        CommitProtocol::kPaxos, qc, qa));
-    if (!co_await DirectForceAt("tm.takeover.replicate_force", fam->top.family, rep_lsn)) {
+    const Lsn lsn = AcceptValue(fam, site_.id(), epoch, proposal);
+    if (!co_await DirectForceAt("tm.takeover.replicate_force", family_id, lsn)) {
       co_return true;
     }
     fam = FindFamily(family_id);
@@ -2523,78 +2173,57 @@ Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
     }
     support = 1;
   }
-
-  TmMsg replicate;
-  replicate.type = TmMsgType::kReplicate;
-  replicate.tid = fam->top;
+  TmMsg replicate = MakeMsg(TmMsgType::kReplicate, fam->top);
   replicate.epoch = epoch;
   replicate.decision = proposal;
-  replicate.commit_quorum = qc;
-  replicate.abort_quorum = qa;
+  replicate.commit_quorum = policy.commit_quorum;
+  replicate.abort_quorum = policy.abort_quorum;
   // Promised-empty acceptors materialize a passive-acceptor family from this
   // message (HandleReplicate), so it must carry the participant set.
   replicate.sites = fam->sites;
-  std::vector<SiteId> replicate_targets = prepared_acceptors;
-  replicate_targets.insert(replicate_targets.end(), promised_empty.begin(),
-                           promised_empty.end());
-  SendMsgToAll(replicate_targets, replicate);
+  std::vector<SiteId> targets = prepared;
+  targets.insert(targets.end(), promised_empty.begin(), promised_empty.end());
+  SendMsgToAll(targets, replicate);
+  if (proposal == TmDecision::kAbort) {
+    support += static_abort_support;
+  }
 
-  {
-    const SimTime deadline = site_.sched().now() + 2 * config_.retry_interval;
-    std::set<SiteId> acked;
-    while (support + acked.size() < needed && site_.sched().now() < deadline) {
-      auto msg = co_await fam->inbox->ReceiveTimeout(deadline - site_.sched().now());
-      if (Dead(inc)) {
+  std::set<SiteId> acked;
+  if (!co_await CollectFor(
+          fam, inc, 2 * config_.retry_interval,
+          [&] { return support + acked.size() >= needed; },
+          [&](const TmMsg& m) {
+            if (m.type == TmMsgType::kReplicateAck && m.epoch == epoch) {
+              acked.insert(m.from);
+            }
+          })) {
+    co_return true;
+  }
+  support += static_cast<uint32_t>(acked.size());
+  if (support < needed) {
+    co_return co_await TakeoverStalled(fam);  // Quorum not reached this round.
+  }
+
+  // Decision point.
+  if (proposal == TmDecision::kCommit) {
+    const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
+    if (policy.decision_force != nullptr) {
+      if (!co_await DirectForceAt(policy.decision_force, family_id, lsn)) {
         co_return true;
       }
       fam = FindFamily(family_id);
-      if (fam == nullptr || fam->inbox->closed()) {
+      if (fam == nullptr) {
         co_return true;
       }
-      if (!msg.has_value()) {
-        break;
-      }
-      if (msg->type == TmMsgType::kReplicateAck && msg->epoch == epoch) {
-        acked.insert(msg->from);
-      } else if (msg->type == TmMsgType::kCommit) {
-        co_await SubordinateCommit(fam);
-        co_return true;
-      } else if (msg->type == TmMsgType::kAbort) {
-        co_await SubordinateAbort(fam);
-        co_return true;
-      }
+    } else {
+      RecordSpool(family_id, "takeover", policy.decision_spool);
     }
-    support += static_cast<uint32_t>(acked.size());
-  }
-
-  if (support < needed) {
-    MarkBlocked(fam);
-    co_await site_.sched().Delay(
-        Backoff(config_.takeover_backoff, config_.takeover_backoff_max, fam->takeover_round));
-    co_return false;
-  }
-
-  // Decision point: the accept quorum at this ballot is durable, so (unlike
-  // NBC takeover) the commit record is only spooled, mirroring the leader.
-  if (proposal == TmDecision::kCommit) {
     ClearBlocked(fam);
-    log_.Append(LogRecord::Commit(fam->top, {}));
-    RecordSpool(fam->top.family, "takeover", "paxos.commit");
-    if (AtTransition("tm.committed")) {
+    if (!ApplyCommit(fam)) {
       co_return true;
     }
-    fam->state = TmTxnState::kCommitted;
-    RecordOutcome(fam->top.family, /*committed=*/true);
-    NotifyServersDropLocks(*fam);
-    TmMsg commit;
-    commit.type = TmMsgType::kCommit;
-    commit.tid = fam->top;
-    SendMsgToAll(others, commit);
   } else {
-    log_.Append(LogRecord::Abort(fam->top));
-    RecordSpool(fam->top.family, "takeover", "abort");
-    co_await CallServersAbort(*fam);
-    if (Dead(inc)) {
+    if (!co_await UndoForAbort(fam, "takeover")) {
       co_return true;
     }
     fam = FindFamily(family_id);
@@ -2606,12 +2235,11 @@ Async<bool> TranMan::TakeoverPaxos(FamilyId family_id, uint32_t inc) {
       co_return true;
     }
     fam->state = TmTxnState::kAborted;
-    RecordOutcome(fam->top.family, /*committed=*/false);
-    TmMsg abort;
-    abort.type = TmMsgType::kAbort;
-    abort.tid = fam->top;
-    SendMsgToAll(others, abort);
+    RecordOutcome(family_id, /*committed=*/false);
   }
+  SendMsgToAll(others, MakeMsg(proposal == TmDecision::kCommit ? TmMsgType::kCommit
+                                                                : TmMsgType::kAbort,
+                               fam->top));
   co_return true;
 }
 
@@ -2644,40 +2272,31 @@ Async<void> TranMan::HandleReplicate(TmMsg msg) {
     co_return;  // Promised a newer coordinator; refuse.
   }
   fam->promised_epoch = msg.epoch;
-  fam->has_replication = true;
-  fam->replicated_epoch = msg.epoch;
-  fam->replicated_decision = msg.decision;
   if (msg.commit_quorum != 0) {
     fam->commit_quorum = msg.commit_quorum;
     fam->abort_quorum = msg.abort_quorum;
   }
-  const Lsn lsn = log_.Append(LogRecord::Replication(fam->top, msg.from, msg.epoch,
-                                                     static_cast<uint8_t>(msg.decision),
-                                                     fam->sites, fam->protocol,
-                                                     fam->commit_quorum, fam->abort_quorum));
+  const Lsn lsn = AcceptValue(fam, msg.from, msg.epoch, msg.decision);
   if (!co_await DirectForceAt("tm.accept.replicate_force", fam->top.family, lsn)) {
     co_return;
   }
-  TmMsg ack;
-  ack.type = TmMsgType::kReplicateAck;
-  ack.tid = msg.tid;
+  TmMsg ack = MakeMsg(TmMsgType::kReplicateAck, msg.tid);
   ack.epoch = msg.epoch;
   SendMsg(msg.from, ack);
 }
 
 Async<void> TranMan::HandleStatusReq(TmMsg msg) {
   Family* fam = FindFamily(msg.tid.family);
-  TmMsg resp;
-  resp.type = TmMsgType::kStatusResp;
-  resp.tid = msg.tid;
+  TmMsg resp = MakeMsg(TmMsgType::kStatusResp, msg.tid);
   resp.epoch = msg.epoch;
   if (fam == nullptr) {
     resp.state = TmTxnState::kUnknown;  // Presumed abort.
-    if (msg.protocol == CommitProtocol::kPaxos && msg.epoch > 0) {
-      // A Paxos takeover read for a family we have never heard of. Unlike
-      // 2PC this answer will be COUNTED (as "no accepted value"), so it must
-      // double as a ballot promise: record it so a late-arriving ballot-0
-      // vote set can no longer form an accept here behind the leader's back.
+    if (msg.promised && msg.epoch > 0) {
+      // A promised (Paxos) takeover read for a family we have never heard
+      // of. Unlike 2PC this answer will be COUNTED (as "no accepted value"),
+      // so it must double as a ballot promise: record it so a late-arriving
+      // ballot-0 vote set can no longer form an accept here behind the
+      // leader's back.
       uint64_t& promised = orphan_promises_[msg.tid.family];
       promised = std::max(promised, msg.epoch);
       resp.promised = true;
@@ -2695,19 +2314,12 @@ Async<void> TranMan::HandleStatusReq(TmMsg msg) {
   co_return;
 }
 
-Async<void> TranMan::HandleCommitForUnknown(TmMsg msg) {
-  // We finished this transaction long ago and forgot it; the coordinator is
-  // still retrying because our ack was lost. Ack blindly.
-  TmMsg ack;
-  ack.type = TmMsgType::kCommitAck;
-  ack.tid = msg.tid;
-  SendMsg(msg.from, ack);
-  co_return;
-}
-
 Async<void> TranMan::HandleAbortMsg(TmMsg msg) {
   Family* fam = FindFamily(msg.tid.family);
   if (fam == nullptr) {
+    // The decision releases any read promise given while we knew nothing
+    // (see the COMMIT case in DispatchMsg).
+    orphan_promises_.erase(msg.tid.family);
     co_return;
   }
   if (fam->state == TmTxnState::kCommitted && fam->heuristic) {
@@ -2731,23 +2343,16 @@ Async<void> TranMan::HandleAbortMsg(TmMsg msg) {
   // Active family ordered to abort (the distributed abort protocol): undo and
   // diffuse to the sites WE know about — the aborter may have had incomplete
   // knowledge (paper, Section 3.1 / reference [7]).
-  const uint32_t inc = site_.incarnation();
   fam->committing = true;
-  log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(fam->top.family, "sub", "abort");
-  co_await CallServersAbort(*fam);
-  if (Dead(inc)) {
+  if (!co_await UndoForAbort(fam, "sub")) {
     co_return;
   }
   fam = FindFamily(msg.tid.family);
   if (fam == nullptr) {
     co_return;
   }
-  std::vector<SiteId> known = comman_.KnownSites(msg.tid.family);
-  TmMsg forward;
-  forward.type = TmMsgType::kAbort;
-  forward.tid = msg.tid;
-  for (SiteId s : known) {
+  const TmMsg forward = MakeMsg(TmMsgType::kAbort, msg.tid);
+  for (SiteId s : comman_.KnownSites(msg.tid.family)) {
     if (s != msg.from) {
       SendMsg(s, forward);
     }

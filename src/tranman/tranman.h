@@ -25,6 +25,8 @@
 #ifndef SRC_TRANMAN_TRANMAN_H_
 #define SRC_TRANMAN_TRANMAN_H_
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -198,6 +200,33 @@ class TranMan {
   // (coordinator first) — the replicated coordinator registrar.
   static std::vector<SiteId> PaxosAcceptors(const std::vector<SiteId>& sites,
                                             uint32_t commit_quorum);
+  // Paxos Commit's Qc = F_eff + 1 for `participants` sites: the acceptor set
+  // is min(2F+1, participants) clamped odd. 1 means F_eff = 0, the collapse
+  // to optimized 2PC.
+  static uint32_t PaxosCommitQuorum(uint32_t f, size_t participants);
+
+  // NBC (Section 3.3) and Paxos Commit run one synod over different acceptor
+  // sets; this is everything that differs between them. The takeover reads
+  // only this, never the family's protocol.
+  struct QuorumPolicy {
+    std::vector<SiteId> acceptors;  // NBC: every site; Paxos: PaxosAcceptors.
+    uint32_t commit_quorum = 0;     // Qc (a family value of 0: majority).
+    uint32_t abort_quorum = 0;      // Qa (a family value of 0: NBC n+1-Qc, Paxos Qc).
+    // Paxos: status reads carry ballot promises, and only a prepared or
+    // promised-empty acceptor testifies (and receives REPLICATE). NBC: every
+    // answer testifies, and a bare kUnknown is static abort support.
+    bool promised_reads = false;
+    // The takeover's commit record: forced at the `decision_force` failpoint
+    // (NBC), or spooled under the `decision_spool` cost phase (Paxos, whose
+    // accept quorum already carries the decision). Exactly one is set.
+    const char* decision_force = nullptr;
+    const char* decision_spool = nullptr;
+    // A read set must intersect every quorum of the other decision.
+    uint32_t read_quorum() const { return std::max(commit_quorum, abort_quorum); }
+  };
+  static QuorumPolicy PolicyFor(CommitProtocol protocol, const std::vector<SiteId>& sites,
+                                uint32_t commit_quorum, uint32_t abort_quorum);
+
   const TranManCounters& counters() const { return counters_; }
   WorkerPool& pool() { return pool_; }
   TranManConfig& config() { return config_; }
@@ -256,6 +285,9 @@ class TranMan {
     // Protocol mailbox for whichever coroutine is driving this family.
     std::shared_ptr<Channel<TmMsg>> inbox;
   };
+  static QuorumPolicy PolicyFor(const Family& fam) {
+    return PolicyFor(fam.protocol, fam.sites, fam.commit_quorum, fam.abort_quorum);
+  }
 
   // --- Service handler (local IPC) ---------------------------------------------
   Async<RpcResult> Handle(RpcContext ctx, uint32_t method, Bytes body);
@@ -277,22 +309,31 @@ class TranMan {
   // --- Commit flows ---------------------------------------------------------------
   // Collects votes from local servers. Returns kNo/kUpdate/kReadOnly summary.
   Async<ServerVote> VoteLocalServers(Family* fam);
-  Async<Status> CommitLocalOnly(Family* fam, bool has_updates);
+  // A commit this site decides alone: the commit record is forced only if
+  // this site updated, and `tell` hears the outcome without acking. The
+  // caller retires the family or keeps its tombstone.
+  Async<Status> CommitLocalOnly(Family* fam, bool has_updates, std::vector<SiteId> tell = {});
   Async<Status> CoordinateTwoPhase(Family* fam, const CommitOptions& options,
                                    std::vector<SiteId> subs, bool local_updates);
-  Async<Status> CoordinateNonBlocking(Family* fam, const CommitOptions& options,
-                                      std::vector<SiteId> subs, bool local_updates);
-  // NBC where every subordinate turned out read-only: the local commit record
-  // alone decides; passive acceptors are told the outcome for their tombstones.
-  Async<Status> CommitLocalOnlyNbc(Family* fam, bool local_updates,
-                                   const std::vector<SiteId>& subs);
+  Async<Status> CoordinateNonBlocking(Family* fam, std::vector<SiteId> subs, bool local_updates);
   // Paxos Commit (Gray & Lamport) with F >= 1: per-participant ballot-0 vote
   // instances batched into one accept record per acceptor; the coordinator is
   // acceptor 0 and the decision is durable once F+1 acceptors forced accepts.
   // F = 0 never reaches here — HandleCommit routes it through
   // CoordinateTwoPhase, the paper's degenerate collapse to optimized 2PC.
-  Async<Status> CoordinatePaxos(Family* fam, uint32_t f_eff, std::vector<SiteId> subs,
+  Async<Status> CoordinatePaxos(Family* fam, uint32_t commit_quorum, std::vector<SiteId> subs,
                                 bool local_updates);
+  // Coordinator prologue shared by every distributed protocol: this site
+  // coordinates `subs` with `options`' protocol and notify-phase flags.
+  void TakeCoordinatorRole(Family* fam, const CommitOptions& options,
+                           const std::vector<SiteId>& subs);
+  // The PREPARE for a coordinated family (change 1: it carries the site list
+  // and quorum sizes).
+  TmMsg PrepareFor(const Family& fam) const;
+  // NBC change 5 and Paxos: an updating coordinator forces its prepare record
+  // (hardening its updates) before the fan-out; then the family is prepared.
+  // False: crashed (the caller has no more work).
+  Async<bool> PrepareCoordinator(const char* force_point, Family* fam, bool local_updates);
   // Phase 1 shared by both protocols: send prepares, gather votes.
   // Returns false on abort (abort actions already taken).
   struct VoteRound {
@@ -312,14 +353,17 @@ class TranMan {
   Async<void> SubordinateAbort(Family* fam);
   Async<void> DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordinator, Lsn commit_lsn,
                                uint32_t inc);
-  // One takeover attempt cycle; resolves the transaction or leaves it for the
-  // caller to retry/park. Returns true if the outcome is now decided.
+  // One takeover round (NBC change 2 / Paxos leader promotion) over the
+  // family's QuorumPolicy: promote to a fresh epoch, read a quorum of the
+  // acceptors, and drive the highest-epoch accepted decision (abort when
+  // none) to a quorum. Returns true if the outcome is now decided; false
+  // leaves the family blocked for the caller to retry or park.
   Async<bool> Takeover(FamilyId family_id, uint32_t inc);
-  // Paxos Commit leader takeover: promote to a fresh ballot, read the acceptor
-  // set, and drive the highest-ballot accepted decision (abort when none) to
-  // an F+1 accept quorum. Any participant may lead; only real forced accepts
-  // from acceptors count toward the quorum.
-  Async<bool> TakeoverPaxos(FamilyId family_id, uint32_t inc);
+  // A takeover round that could not decide: blocked, pausing before the next.
+  Async<bool> TakeoverStalled(Family* fam);
+  // Demotes a coordinator that cannot finish to an ordinary in-doubt
+  // participant; the takeover machinery resolves the family later.
+  Status ParkInDoubt(Family* fam, uint32_t inc, const char* why);
   // Records a participant's vote at a Paxos acceptor and, when the vote set is
   // complete and all-yes with at least one update, forms this acceptor's
   // ballot-0 accept (forced replication record + PAXOS-ACCEPTED to the leader).
@@ -332,6 +376,16 @@ class TranMan {
   // counters().stuck_families if it is still undecided (observation only).
   Async<void> StuckFamilyWatch(FamilyId family_id, uint32_t inc);
   void ArmStuckWatch(Family* fam);
+  // What one protocol receive produced: a message, silence, the end of the
+  // flow (site died or inbox closed), or another leader's COMMIT/ABORT, which
+  // ReceiveOrAdopt has already applied through SubordinateCommit/Abort.
+  enum class Wake : uint8_t { kMessage, kSilence, kGone, kAdoptedCommit, kAdoptedAbort };
+  Async<Wake> ReceiveOrAdopt(Family* fam, uint32_t inc, SimDuration wait, TmMsg& msg);
+  // Receives for `window`, handing each message to `take`, until `done`
+  // holds or the window closes. False: the flow ended (see Wake::kGone and
+  // the adopted outcomes).
+  Async<bool> CollectFor(Family* fam, uint32_t inc, SimDuration window,
+                         std::function<bool()> done, std::function<void(const TmMsg&)> take);
   // Blocked-state bookkeeping with blocked-time accounting.
   void MarkBlocked(Family* fam);
   void ClearBlocked(Family* fam);
@@ -357,11 +411,24 @@ class TranMan {
   Async<void> HandleReplicate(TmMsg msg);
   Async<void> HandleStatusReq(TmMsg msg);
   Async<void> HandleAbortMsg(TmMsg msg);
-  Async<void> HandleCommitForUnknown(TmMsg msg);
 
   // --- Server upcalls ------------------------------------------------------------------
   void NotifyServersDropLocks(const Family& fam);  // One-way (Figure 1 event 11).
   Async<Status> CallServersAbort(const Family& fam);
+
+  // --- Decision steps shared by every decider ---------------------------------------
+  // The commit transition: "tm.committed", the state, the outcome, and the
+  // lock drop (event 11). False: crashed at the failpoint.
+  bool ApplyCommit(Family* fam);
+  // The presumed-abort undo: spool the abort record under {role, abort} and
+  // roll back the local servers. False: the site died meanwhile.
+  Async<bool> UndoForAbort(Family* fam, const char* role);
+  // A subordinate's refusal: undo, vote abort to the coordinator, forget.
+  Async<void> RefuseAndForget(Family* fam, SiteId coordinator);
+  // Takes (epoch, decision) from `proposer` into the family's acceptor state
+  // and appends the replication record that will make it durable.
+  Lsn AcceptValue(Family* fam, SiteId proposer, uint64_t epoch, TmDecision decision);
+  Lsn AppendPrepare(const Family& fam);
 
   // --- Plumbing ---------------------------------------------------------------------------
   Family* FindFamily(const FamilyId& id);

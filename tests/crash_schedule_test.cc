@@ -201,6 +201,38 @@ TEST(CrashScheduleSweep, CoordinatorPlusAcceptorDoubleCrashSweep_Paxos) {
   EXPECT_EQ(runs, 25);
 }
 
+// --- Pinned Paxos schedules -------------------------------------------------------
+//
+// Paxos F = 1 at seed 3. A restarted site answers a takeover read for a family
+// it knows nothing of as promised-empty, learns the commit from a COMMIT it
+// can only ack, and then receives a late leader's REPLICATE. The decision must
+// release the read promise: otherwise the REPLICATE materializes a passive
+// acceptor family that no one ever resolves, and the leak oracle fires
+// ("site 0 has 1 live families").
+
+void ExpectPaxosScheduleHolds(const char* text) {
+  const auto schedule = CrashSchedule::Parse(text);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().message();
+  const RunResult result = CrashExplorer(PaxosConfig(/*f=*/1, /*seed=*/3)).Run(*schedule);
+  EXPECT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
+}
+
+TEST(CrashSchedulePinned, OrphanPromiseReleased_LeaderAcceptAndAcceptorCommitCrash) {
+  ExpectPaxosScheduleHolds("tm.committed@2#1=crash;tm.paxos.accept_force.before@0#1=crash");
+}
+
+TEST(CrashSchedulePinned, OrphanPromiseReleased_PlusSubordinateAckForceCrash) {
+  ExpectPaxosScheduleHolds(
+      "tm.paxos.accept_force.before@0#1=crash;tm.sub.ack_force.before@2#1=crash;"
+      "tm.committed@2#1=crash");
+}
+
+TEST(CrashSchedulePinned, OrphanPromiseReleased_WalForceCrashesAndCommitAckCrash) {
+  ExpectPaxosScheduleHolds(
+      "wal.force.after_write@2#3=crash;wal.force.before_write@0#2=crash;"
+      "tm.send.COMMIT-ACK@2#1=crash");
+}
+
 // --- Crash during recovery --------------------------------------------------------
 //
 // A base crash forces a real restart; the sweep then crashes the site AGAIN at

@@ -1,12 +1,16 @@
 // Protocol edge cases: simultaneous takeover coordinators, quorum widening to
 // passive (read-only) acceptors, abort diffusion under incomplete knowledge,
-// group-commit batch windows, and wire-format fuzzing.
+// group-commit batch windows, wire-format fuzzing, and the takeover quorum
+// policy held against the protocol spec.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/analysis/protocol_spec.h"
 #include "src/harness/world.h"
 
 namespace camelot {
@@ -92,6 +96,100 @@ TEST(ProtocolEdgeTest, SimultaneousTakeoverCoordinatorsConverge) {
   const FamilyId family{SiteId{0}, 1};
   EXPECT_EQ(rig.world.site(1).tranman().QueryState(family), TmTxnState::kCommitted);
   EXPECT_EQ(rig.world.site(2).tranman().QueryState(family), TmTxnState::kCommitted);
+}
+
+TEST(ProtocolEdgeTest, TakeoverLeaderThatPromisedANewerEpochDefers) {
+  // The coordinator dies just before replicating its commit intent, so both
+  // prepared subordinates time out and take over. Their jittered timeouts
+  // differ by less than a status-read window: the later leader reads the
+  // earlier one mid-read and gets a promise for a newer epoch. The earlier
+  // leader must then defer rather than accept its own older epoch (which
+  // would break that promise); only the newest leader drives the decision.
+  Rig rig(Quiet(3));
+  FailpointRegistry& fp = rig.world.failpoints();
+  fp.Arm("tm.nbc.replicate_force.before", SiteId{0}, FailpointArm::Crash(1));
+  std::map<int, SimTime> read_started;
+  std::vector<int> accepted_own_epoch;
+  for (int s = 1; s <= 2; ++s) {
+    fp.Arm("tm.send.STATUS-REQ", SiteId{static_cast<uint32_t>(s)},
+           FailpointArm::Callback(1, [&rig, &read_started, s] {
+             read_started[s] = rig.world.sched().now();
+           }));
+    fp.Arm("tm.takeover.replicate_force.before", SiteId{static_cast<uint32_t>(s)},
+           FailpointArm::Callback(1, [&accepted_own_epoch, s] {
+             accepted_own_epoch.push_back(s);
+           }));
+  }
+  rig.world.sched().Spawn([](Rig& r) -> Async<void> {
+    auto b = co_await r.app.Begin();
+    for (int i = 0; i < 3; ++i) {
+      co_await r.app.WriteInt(*b, Srv(i), "x", 42);
+    }
+    co_await r.app.Commit(*b, CommitOptions::NonBlocking());
+  }(rig));
+  rig.world.RunUntilIdle();
+
+  // Both subordinates led a round, the later one inside the earlier's read.
+  ASSERT_EQ(read_started.size(), 2u);
+  const int earlier = read_started[1] <= read_started[2] ? 1 : 2;
+  const int later = 3 - earlier;
+  ASSERT_LT(read_started[later] - read_started[earlier], 2 * Quiet(3).tranman.retry_interval);
+  // Only the newest leader accepted its own epoch.
+  EXPECT_EQ(accepted_own_epoch, std::vector<int>{later});
+  // No commit intent was ever replicated, so the survivors agree on abort.
+  const FamilyId family{SiteId{0}, 1};
+  for (int s = 1; s <= 2; ++s) {
+    EXPECT_EQ(rig.world.site(s).tranman().QueryState(family), TmTxnState::kAborted) << s;
+    EXPECT_EQ(rig.world.site(s).tranman().live_family_count(), 0u) << s;
+  }
+}
+
+// The runtime's quorum policy and the protocol spec keep independent copies
+// of the quorum arithmetic (the conformance oracle's three-source agreement
+// depends on that); this table holds the two copies to each other.
+TEST(ProtocolEdgeTest, QuorumPolicyMatchesTheSpecMachine) {
+  const auto sites = [](int n) {
+    std::vector<SiteId> out;
+    for (int i = 0; i < n; ++i) {
+      out.push_back(SiteId{static_cast<uint32_t>(i)});
+    }
+    return out;
+  };
+  for (int n = 2; n <= 5; ++n) {
+    SpecScenario scenario;
+    scenario.options = CommitOptions::NonBlocking();
+    scenario.update_subs = n - 1;
+    const SpecMachine spec(scenario);
+    const TranMan::QuorumPolicy policy =
+        TranMan::PolicyFor(CommitProtocol::kNonBlocking, sites(n), 0, 0);
+    EXPECT_EQ(static_cast<int>(policy.acceptors.size()), spec.acceptor_count()) << "nbc n=" << n;
+    EXPECT_EQ(static_cast<int>(policy.commit_quorum), spec.commit_quorum()) << "nbc n=" << n;
+    EXPECT_EQ(static_cast<int>(policy.read_quorum()), spec.read_quorum()) << "nbc n=" << n;
+    EXPECT_FALSE(policy.promised_reads);
+  }
+  for (uint32_t f = 1; f <= 2; ++f) {
+    for (int subs = 1; subs <= 4; ++subs) {
+      SpecScenario scenario;
+      scenario.options = CommitOptions::Paxos(f);
+      scenario.update_subs = subs;
+      const SpecMachine spec(scenario);
+      const uint32_t qc = TranMan::PaxosCommitQuorum(f, static_cast<size_t>(subs) + 1);
+      const bool degenerate = spec.scenario().options.protocol == CommitProtocol::kTwoPhase;
+      EXPECT_EQ(qc == 1, degenerate) << "paxos F=" << f << " subs=" << subs;
+      if (degenerate) {
+        continue;  // Both sides collapse to optimized 2PC.
+      }
+      const TranMan::QuorumPolicy policy =
+          TranMan::PolicyFor(CommitProtocol::kPaxos, sites(subs + 1), qc, 0);
+      EXPECT_EQ(static_cast<int>(policy.acceptors.size()), spec.acceptor_count())
+          << "paxos F=" << f << " subs=" << subs;
+      EXPECT_EQ(static_cast<int>(policy.commit_quorum), spec.commit_quorum())
+          << "paxos F=" << f << " subs=" << subs;
+      EXPECT_EQ(static_cast<int>(policy.read_quorum()), spec.read_quorum())
+          << "paxos F=" << f << " subs=" << subs;
+      EXPECT_TRUE(policy.promised_reads);
+    }
+  }
 }
 
 TEST(ProtocolEdgeTest, ReadOnlyPassiveAcceptorsFillTheCommitQuorum) {
