@@ -40,9 +40,9 @@
 #include <vector>
 
 #include "src/base/rng.h"
-#include "src/harness/crash_explorer.h"
 #include "src/harness/experiments.h"
 #include "src/harness/parallel.h"
+#include "src/harness/scenario_runner.h"
 #include "src/sim/channel.h"
 #include "src/sim/legacy_heap_scheduler.h"
 #include "src/sim/scheduler.h"

@@ -49,11 +49,6 @@ CommitOptions ApplyPaxosFFromEnv(CommitOptions options) {
   return options;
 }
 
-std::string ReplayRecipePrefix(uint64_t seed, bool non_blocking) {
-  return "CAMELOT_SEED=" + std::to_string(seed) +
-         " CAMELOT_PROTOCOL=" + (non_blocking ? "nbc" : "2pc");
-}
-
 std::string ReplayRecipePrefix(uint64_t seed, const CommitOptions& options) {
   std::string prefix =
       "CAMELOT_SEED=" + std::to_string(seed) + " CAMELOT_PROTOCOL=" + ProtocolName(options);
@@ -61,11 +56,6 @@ std::string ReplayRecipePrefix(uint64_t seed, const CommitOptions& options) {
     prefix += " CAMELOT_F=" + std::to_string(options.paxos_f);
   }
   return prefix;
-}
-
-std::string ReplayRecipe(uint64_t seed, bool non_blocking, const std::string& variable,
-                         const std::string& schedule) {
-  return ReplayRecipePrefix(seed, non_blocking) + " " + variable + "='" + schedule + "'";
 }
 
 std::string ReplayRecipe(uint64_t seed, const CommitOptions& options,

@@ -1,10 +1,10 @@
-// Replay-recipe formatting shared by the crash and partition explorers: every
-// oracle failure prints a one-line environment-variable recipe that rebuilds
-// the exact run. Both explorers share the seed/protocol prefix; each appends
-// its own schedule variable (CAMELOT_SCHEDULE / CAMELOT_NEMESIS), and
-// isolation failures add CAMELOT_HISTORY=<file> pointing at the dumped
-// operation history so the oracle verdict is reproducible offline without
-// re-running the simulation.
+// Replay-recipe formatting shared by the scenario runner and the overload
+// explorer: every oracle failure prints a one-line environment-variable recipe
+// that rebuilds the exact run. All share the seed/protocol prefix; each run
+// appends its own plan variable (CAMELOT_SCHEDULE / CAMELOT_NEMESIS /
+// CAMELOT_OVERLOAD), and isolation failures add CAMELOT_HISTORY=<file>
+// pointing at the dumped operation history so the oracle verdict is
+// reproducible offline without re-running the simulation.
 #ifndef SRC_HARNESS_REPLAY_H_
 #define SRC_HARNESS_REPLAY_H_
 
@@ -29,14 +29,11 @@ Result<CommitOptions> ParseProtocolName(std::string_view name);
 // "paxos" option set; every other protocol passes through untouched.
 CommitOptions ApplyPaxosFFromEnv(CommitOptions options);
 
-// "CAMELOT_SEED=<seed> CAMELOT_PROTOCOL=<2pc|nbc>"
-std::string ReplayRecipePrefix(uint64_t seed, bool non_blocking);
-// Same, with the full four-variant protocol token.
+// "CAMELOT_SEED=<seed> CAMELOT_PROTOCOL=<protocol>", plus " CAMELOT_F=<f>"
+// for Paxos Commit.
 std::string ReplayRecipePrefix(uint64_t seed, const CommitOptions& options);
 
 // The full recipe: prefix + " <variable>='<schedule>'".
-std::string ReplayRecipe(uint64_t seed, bool non_blocking, const std::string& variable,
-                         const std::string& schedule);
 std::string ReplayRecipe(uint64_t seed, const CommitOptions& options,
                          const std::string& variable, const std::string& schedule);
 

@@ -1,6 +1,6 @@
 // Crash-schedule exploration: discovery, exhaustive single-crash sweeps under
 // both commit protocols, crash-during-recovery sweeps, determinism, and
-// environment-variable replay (see src/harness/crash_explorer.h).
+// environment-variable replay (see src/harness/scenario_runner.h).
 //
 // Every failing run is reported with a one-line replay recipe; rerun it with
 //   CAMELOT_SEED=<s> CAMELOT_PROTOCOL=<2pc|2pc-unopt|2pc-int|nbc|paxos>
@@ -15,29 +15,22 @@
 #include <vector>
 
 #include "src/base/logging.h"
-#include "src/harness/crash_explorer.h"
 #include "src/harness/replay.h"
+#include "src/harness/scenario_runner.h"
 
 namespace camelot {
 namespace {
 
-ExplorerConfig Config(bool non_blocking, uint64_t seed = 1) {
+ExplorerConfig Config(const CommitOptions& variant, uint64_t seed = 1) {
   ExplorerConfig cfg;
-  cfg.non_blocking = non_blocking;
-  cfg.seed = seed;
-  return cfg;
-}
-
-ExplorerConfig PaxosConfig(uint32_t f = 1, uint64_t seed = 1) {
-  ExplorerConfig cfg;
-  cfg.variant = CommitOptions::Paxos(f);
+  cfg.variant = variant;
   cfg.seed = seed;
   return cfg;
 }
 
 void ReportFailures(const std::vector<SweepFailure>& failures) {
   for (const SweepFailure& f : failures) {
-    ADD_FAILURE() << "schedule " << f.schedule.ToString() << " violated the oracle:\n"
+    ADD_FAILURE() << "schedule " << f.label << " violated the oracle:\n"
                   << f.result.Explain() << "  replay: " << f.result.replay;
   }
 }
@@ -58,7 +51,7 @@ bool Has(const std::vector<DiscoveredPoint>& discovered, const char* point, uint
 // point set for a 3-site transfer workload under each protocol.
 
 TEST(CrashScheduleDiscovery, FindsTheTwoPhaseInstrumentation) {
-  auto d = CrashExplorer(Config(/*non_blocking=*/false)).Discover();
+  auto d = CrashExplorer(Config(CommitOptions::Optimized())).Discover();
   // Coordinator (site 0).
   EXPECT_TRUE(Has(d, "tm.send.PREPARE", 0));
   EXPECT_TRUE(Has(d, "tm.send.COMMIT", 0));
@@ -80,7 +73,7 @@ TEST(CrashScheduleDiscovery, FindsTheTwoPhaseInstrumentation) {
 }
 
 TEST(CrashScheduleDiscovery, FindsTheNonBlockingInstrumentation) {
-  auto d = CrashExplorer(Config(/*non_blocking=*/true)).Discover();
+  auto d = CrashExplorer(Config(CommitOptions::NonBlocking())).Discover();
   // The three coordinator forces of the paper's non-blocking protocol.
   EXPECT_TRUE(Has(d, "tm.nbc.prepare_force.before", 0));
   EXPECT_TRUE(Has(d, "tm.nbc.prepare_force.after", 0));
@@ -107,7 +100,7 @@ TEST(CrashScheduleDiscovery, FindsTheNonBlockingInstrumentation) {
 // real Paxos Commit — a ballot-0 accept force at every acceptor and
 // PAXOS-ACCEPTED datagrams back to the leader.
 TEST(CrashScheduleDiscovery, FindsThePaxosInstrumentation) {
-  auto d = CrashExplorer(PaxosConfig()).Discover();
+  auto d = CrashExplorer(Config(CommitOptions::Paxos(1))).Discover();
   // Coordinator (site 0): leader accept plus the degenerate 2PC commits.
   EXPECT_TRUE(Has(d, "tm.send.PREPARE", 0));
   EXPECT_TRUE(Has(d, "tm.send.VOTE", 0));
@@ -153,22 +146,22 @@ TEST(CrashScheduleSweep, FaultFreeRunPassesConformanceGate) {
 
 TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_TwoPhase) {
   int runs = 0;
-  ReportFailures(CrashExplorer(Config(/*non_blocking=*/false))
+  ReportFailures(CrashExplorer(Config(CommitOptions::Optimized()))
                      .ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
   EXPECT_GE(runs, 60) << "suspiciously few runs: instrumentation rot?";
 }
 
 TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_NonBlocking) {
   int runs = 0;
-  ReportFailures(CrashExplorer(Config(/*non_blocking=*/true))
+  ReportFailures(CrashExplorer(Config(CommitOptions::NonBlocking()))
                      .ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
   EXPECT_GE(runs, 100) << "suspiciously few runs: instrumentation rot?";
 }
 
 TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_Paxos) {
   int runs = 0;
-  ReportFailures(
-      CrashExplorer(PaxosConfig()).ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
+  ReportFailures(CrashExplorer(Config(CommitOptions::Paxos(1)))
+                     .ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/0, &runs));
   EXPECT_GE(runs, 85) << "suspiciously few runs: instrumentation rot?";
 }
 
@@ -178,7 +171,7 @@ TEST(CrashScheduleSweep, ExhaustiveSingleCrashSweepPassesOracle_Paxos) {
 // resolved by leader takeover at a promoted ballot — and the atomicity,
 // leak, and isolation oracles must all hold after heal.
 TEST(CrashScheduleSweep, CoordinatorPlusAcceptorDoubleCrashSweep_Paxos) {
-  CrashExplorer ex(PaxosConfig());
+  CrashExplorer ex(Config(CommitOptions::Paxos(1)));
   const char* coordinator_points[] = {
       "tm.paxos.prepare_force.after", "tm.send.PREPARE", "tm.paxos.accept_force.after",
       "tm.send.COMMIT", "tm.committed"};
@@ -213,7 +206,8 @@ TEST(CrashScheduleSweep, CoordinatorPlusAcceptorDoubleCrashSweep_Paxos) {
 void ExpectPaxosScheduleHolds(const char* text) {
   const auto schedule = CrashSchedule::Parse(text);
   ASSERT_TRUE(schedule.ok()) << schedule.status().message();
-  const RunResult result = CrashExplorer(PaxosConfig(/*f=*/1, /*seed=*/3)).Run(*schedule);
+  const RunResult result =
+      CrashExplorer(Config(CommitOptions::Paxos(1), /*seed=*/3)).Run(*schedule);
   EXPECT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
 }
 
@@ -240,7 +234,7 @@ TEST(CrashSchedulePinned, OrphanPromiseReleased_WalForceCrashesAndCommitAckCrash
 // sweep). Recovery must be idempotent across the interrupted passes.
 
 TEST(CrashScheduleSweep, CrashDuringRecoverySweep_TwoPhase) {
-  CrashExplorer ex(Config(/*non_blocking=*/false));
+  CrashExplorer ex(Config(CommitOptions::Optimized()));
   int runs = 0;
   // Coordinator dies with its commit record durable: restart must redo and
   // resume phase 2 — and survive being crashed again at each recovery point.
@@ -255,7 +249,7 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_TwoPhase) {
 }
 
 TEST(CrashScheduleSweep, CrashDuringRecoverySweep_NonBlocking) {
-  CrashExplorer ex(Config(/*non_blocking=*/true));
+  CrashExplorer ex(Config(CommitOptions::NonBlocking()));
   int runs = 0;
   ReportFailures(ex.RecoverySweep(
       {"tm.nbc.commit_force.after", SiteId{0}, 1, FailpointAction::kCrash, 0}, &runs));
@@ -263,7 +257,7 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_NonBlocking) {
 }
 
 TEST(CrashScheduleSweep, CrashDuringRecoverySweep_Paxos) {
-  CrashExplorer ex(PaxosConfig());
+  CrashExplorer ex(Config(CommitOptions::Paxos(1)));
   int runs = 0;
   // The coordinator dies with its ballot-0 accept durable but the commit
   // record only spooled: restart must rebuild the family from the
@@ -277,16 +271,17 @@ TEST(CrashScheduleSweep, CrashDuringRecoverySweep_Paxos) {
 // --- Determinism ------------------------------------------------------------------
 
 TEST(CrashScheduleDeterminism, SameSeedAndScheduleReproduceIdenticalTrace) {
-  for (const bool non_blocking : {false, true}) {
-    CrashExplorer ex(Config(non_blocking));
-    const char* text = non_blocking ? "tm.nbc.replicate_force.before@0#1=crash"
-                                    : "tm.2pc.commit_force.before@0#1=crash";
+  for (const CommitOptions& variant : {CommitOptions::Optimized(), CommitOptions::NonBlocking()}) {
+    CrashExplorer ex(Config(variant));
+    const char* text = variant.protocol == CommitProtocol::kNonBlocking
+                           ? "tm.nbc.replicate_force.before@0#1=crash"
+                           : "tm.2pc.commit_force.before@0#1=crash";
     const auto schedule = CrashSchedule::Parse(text);
     ASSERT_TRUE(schedule.ok());
     const RunResult r1 = ex.Run(*schedule, /*record=*/true);
     const RunResult r2 = ex.Run(*schedule, /*record=*/true);
     EXPECT_FALSE(r1.trace.empty());
-    EXPECT_EQ(r1.trace, r2.trace) << "protocol " << (non_blocking ? "nbc" : "2pc")
+    EXPECT_EQ(r1.trace, r2.trace) << "protocol " << ProtocolName(variant)
                                   << ": replay diverged — determinism is broken";
     EXPECT_EQ(r1.ok, r2.ok);
   }

@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/crash_explorer.h"
 #include "src/harness/replay.h"
+#include "src/harness/scenario_runner.h"
 #include "src/harness/world.h"
 
 namespace camelot {

@@ -15,9 +15,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/harness/crash_explorer.h"
 #include "src/harness/parallel.h"
-#include "src/harness/partition_explorer.h"
+#include "src/harness/scenario_runner.h"
 
 namespace camelot {
 namespace {
@@ -40,7 +39,7 @@ CrashSweepOutcome RunCrashSweep(int threads) {
   const std::vector<SweepFailure> failures =
       explorer.ExhaustiveSingleCrashSweep(/*max_hits_per_point=*/1, &out.runs);
   for (const SweepFailure& f : failures) {
-    out.schedules.push_back(f.schedule.ToString());
+    out.schedules.push_back(f.label);
     out.replays.push_back(f.result.replay);
     for (const std::string& v : f.result.violations) {
       out.violations.push_back(v);
@@ -75,7 +74,7 @@ TEST(ParallelSweepTest, RandomCrashSweepIdenticalAcrossThreadCounts) {
     std::vector<std::string> out;
     for (const SweepFailure& f :
          explorer.RandomSweep(/*rng_seed=*/99, /*rounds=*/6, /*max_faults=*/2, &runs)) {
-      out.push_back(f.schedule.ToString() + " => " + f.result.replay);
+      out.push_back(f.label + " => " + f.result.replay);
     }
     out.push_back("runs=" + std::to_string(runs));
     return out;
@@ -94,7 +93,7 @@ TEST(ParallelSweepTest, RandomNemesisSweepIdenticalAcrossThreadCounts) {
     PartitionExplorer explorer(config);
     int runs = 0;
     std::vector<std::string> out;
-    for (const PartitionSweepFailure& f :
+    for (const SweepFailure& f :
          explorer.RandomNemesisSweep(/*rng_seed=*/123, /*rounds=*/4, &runs)) {
       out.push_back(f.label + " => " + f.result.replay);
       for (const std::string& v : f.result.violations) {

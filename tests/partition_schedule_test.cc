@@ -14,22 +14,27 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/static_analysis.h"
 #include "src/base/logging.h"
-#include "src/harness/partition_explorer.h"
 #include "src/harness/replay.h"
+#include "src/harness/scenario_runner.h"
 
 namespace camelot {
 namespace {
 
-PartitionExplorerConfig Config(bool non_blocking, uint64_t seed = 1) {
+PartitionExplorerConfig Config(const CommitOptions& variant, uint64_t seed = 1) {
   PartitionExplorerConfig cfg;
-  cfg.non_blocking = non_blocking;
+  cfg.variant = variant;
   cfg.seed = seed;
   return cfg;
 }
 
-void ReportFailures(const std::vector<PartitionSweepFailure>& failures) {
-  for (const PartitionSweepFailure& f : failures) {
+const CommitOptions kAllVariants[] = {CommitOptions::Optimized(),    CommitOptions::Unoptimized(),
+                                      CommitOptions::Intermediate(), CommitOptions::NonBlocking(),
+                                      CommitOptions::Paxos(0),       CommitOptions::Paxos(1)};
+
+void ReportFailures(const std::vector<SweepFailure>& failures) {
+  for (const SweepFailure& f : failures) {
     ADD_FAILURE() << f.label << " violated the oracle:\n"
                   << f.result.Explain() << "  replay: " << f.result.replay;
   }
@@ -42,14 +47,9 @@ NemesisScript MustParse(const std::string& text) {
 }
 
 TEST(PartitionSchedule, FaultFreeRunPassesOracle) {
-  for (const CommitOptions& options :
-       {CommitOptions::Optimized(), CommitOptions::Unoptimized(),
-        CommitOptions::Intermediate(), CommitOptions::NonBlocking(),
-        CommitOptions::Paxos(0), CommitOptions::Paxos(1)}) {
-    PartitionExplorerConfig cfg;
-    cfg.variant = options;
-    PartitionExplorer ex(cfg);
-    const PartitionRunResult result = ex.Run(NemesisScript{});
+  for (const CommitOptions& options : kAllVariants) {
+    PartitionExplorer ex(Config(options));
+    const RunResult result = ex.Run(NemesisScript{});
     EXPECT_TRUE(result.ok) << ProtocolName(options) << ": " << result.Explain();
     EXPECT_EQ(result.client_ok, ex.config().transfers);
     for (const SiteObservation& obs : result.sites) {
@@ -59,14 +59,35 @@ TEST(PartitionSchedule, FaultFreeRunPassesOracle) {
   }
 }
 
+// The partition baseline has no prediction of its own: the runner folds the
+// ping-pong routes through the same route-derived prediction as the crash
+// ring. Every ping-pong transfer is a 2-update-subordinate commit with no
+// coordinator-site writes, so the fold must equal `transfers` times that cell.
+TEST(PartitionSchedule, FaultFreeBaselineUsesRouteDerivedPrediction) {
+  for (const CommitOptions& options : kAllVariants) {
+    const PartitionExplorerConfig cfg = Config(options);
+    const std::vector<TransferRoute> routes = PingPongRoutes(cfg.transfers);
+    CountVector hard_coded;
+    for (int i = 0; i < cfg.transfers; ++i) {
+      AddCounts(hard_coded, ExpectedProtocolCounts(options, /*update_subs=*/2,
+                                                   /*readonly_subs=*/0, /*local_updates=*/false,
+                                                   TxnOutcome::kCommit));
+    }
+    ASSERT_FALSE(hard_coded.empty()) << ProtocolName(options);
+    EXPECT_EQ(PredictTransferCounts(options, routes), hard_coded) << ProtocolName(options);
+    const RunResult result = PartitionExplorer(cfg).Run(NemesisScript{}, routes);
+    EXPECT_TRUE(result.ok) << ProtocolName(options) << ": " << result.Explain();
+  }
+}
+
 // --- The paper's blocking claim, as a falsifiable contrast ------------------------
 
 TEST(PartitionSchedule, TwoPhaseSubordinatesBlockWhileCoordinatorIsolated) {
   // Partition {0} | {1,2} the instant the 2PC coordinator's commit record is
   // durable: subordinates are prepared, in the window of vulnerability, and
   // the COMMIT datagrams die on the wire.
-  PartitionExplorer ex(Config(/*non_blocking=*/false));
-  const PartitionRunResult result =
+  PartitionExplorer ex(Config(CommitOptions::Optimized()));
+  const RunResult result =
       ex.Run(MustParse("tm.2pc.commit_force.after@0#1=partition:0|1,2;+4000000=heal"));
   ASSERT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
 
@@ -84,8 +105,8 @@ TEST(PartitionSchedule, NbcQuorumSideDecidesDuringPartition) {
   // Same split, same instant, but under the non-blocking protocol: sites 1+2
   // hold replicated evidence and form a commit quorum (2 of 3), so takeover
   // decides inside the fault window — no waiting for the coordinator.
-  PartitionExplorer ex(Config(/*non_blocking=*/true));
-  const PartitionRunResult result =
+  PartitionExplorer ex(Config(CommitOptions::NonBlocking()));
+  const RunResult result =
       ex.Run(MustParse("tm.nbc.commit_force.after@0#1=partition:0|1,2;+4000000=heal"));
   ASSERT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
 
@@ -104,10 +125,8 @@ TEST(PartitionSchedule, PaxosQuorumSideDecidesDuringPartition) {
   // spooled). Acceptors 1+2 hold a commit quorum of accepts (2 of 3 under
   // F = 1), so leader takeover at a promoted ballot decides inside the fault
   // window — same availability as NBC, one fewer coordinator force.
-  PartitionExplorerConfig cfg;
-  cfg.variant = CommitOptions::Paxos(1);
-  PartitionExplorer ex(cfg);
-  const PartitionRunResult result =
+  PartitionExplorer ex(Config(CommitOptions::Paxos(1)));
+  const RunResult result =
       ex.Run(MustParse("tm.paxos.accept_force.after@0#1=partition:0|1,2;+4000000=heal"));
   ASSERT_TRUE(result.ok) << result.Explain() << "  replay: " << result.replay;
 
@@ -128,31 +147,31 @@ TEST(PartitionSchedule, PaxosQuorumSideDecidesDuringPartition) {
 
 TEST(PartitionSchedule, ExhaustiveSinglePartitionSweepTwoPhase) {
   int runs = 0;
-  ReportFailures(PartitionExplorer(Config(false)).ExhaustiveSinglePartitionSweep(&runs));
+  ReportFailures(
+      PartitionExplorer(Config(CommitOptions::Optimized())).ExhaustiveSinglePartitionSweep(&runs));
   EXPECT_EQ(runs, 17);  // Fault-free conformance baseline + 4 splits x 4 windows.
 }
 
 TEST(PartitionSchedule, ExhaustiveSinglePartitionSweepNonBlocking) {
   int runs = 0;
-  ReportFailures(PartitionExplorer(Config(true)).ExhaustiveSinglePartitionSweep(&runs));
+  ReportFailures(
+      PartitionExplorer(Config(CommitOptions::NonBlocking())).ExhaustiveSinglePartitionSweep(&runs));
   EXPECT_EQ(runs, 17);
 }
 
 TEST(PartitionSchedule, ExhaustiveSinglePartitionSweepPaxos) {
-  PartitionExplorerConfig cfg;
-  cfg.variant = CommitOptions::Paxos(1);
   int runs = 0;
-  ReportFailures(PartitionExplorer(cfg).ExhaustiveSinglePartitionSweep(&runs));
+  ReportFailures(
+      PartitionExplorer(Config(CommitOptions::Paxos(1))).ExhaustiveSinglePartitionSweep(&runs));
   EXPECT_EQ(runs, 17);
 }
 
 TEST(PartitionSchedule, RandomNemesisSmoke) {
   for (const CommitOptions& options :
        {CommitOptions::Optimized(), CommitOptions::NonBlocking(), CommitOptions::Paxos(1)}) {
-    PartitionExplorerConfig cfg;
-    cfg.variant = options;
     int runs = 0;
-    ReportFailures(PartitionExplorer(cfg).RandomNemesisSweep(/*rng_seed=*/17, /*rounds=*/4, &runs));
+    ReportFailures(
+        PartitionExplorer(Config(options)).RandomNemesisSweep(/*rng_seed=*/17, /*rounds=*/4, &runs));
     EXPECT_EQ(runs, 4) << ProtocolName(options);
   }
 }
@@ -163,9 +182,11 @@ TEST(PartitionSchedule, SameSeedAndScriptReproduceIdenticalRuns) {
   const NemesisScript script =
       MustParse("tm.2pc.commit_force.after@0#1=partition:0|1,2;+4000000=heal;"
                 "@8000000=reorder:0.3,20000;+2000000=calm");
-  auto run = [&script] { return PartitionExplorer(Config(false, 7)).Run(script); };
-  const PartitionRunResult a = run();
-  const PartitionRunResult b = run();
+  auto run = [&script] {
+    return PartitionExplorer(Config(CommitOptions::Optimized(), 7)).Run(script);
+  };
+  const RunResult a = run();
+  const RunResult b = run();
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.client_ok, b.client_ok);
@@ -200,7 +221,7 @@ TEST(PartitionScheduleReplay, ReplaysNemesisFromEnvironment) {
   }
   const auto script = NemesisScript::Parse(nemesis_text);
   ASSERT_TRUE(script.ok()) << script.status().message();
-  const PartitionRunResult result = PartitionExplorer(cfg).Run(*script);
+  const RunResult result = PartitionExplorer(cfg).Run(*script);
   for (const std::string& line : result.nemesis_log) {
     std::printf("%s\n", line.c_str());
   }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/partition_explorer.h"
+#include "src/harness/scenario_runner.h"
 #include "src/tranman/local_api.h"
 
 namespace camelot {
@@ -24,13 +24,13 @@ std::string ArtifactPath() {
   return (dir != nullptr ? std::string(dir) + "/" : std::string()) + "partition_soak_failures.txt";
 }
 
-void ReportFailures(const std::vector<PartitionSweepFailure>& failures) {
+void ReportFailures(const std::vector<SweepFailure>& failures) {
   if (failures.empty()) {
     return;
   }
   std::FILE* artifact = std::fopen(ArtifactPath().c_str(), "a");
-  for (const PartitionSweepFailure& f : failures) {
-    ADD_FAILURE() << f.label << " (" << f.script.ToString() << ") violated the oracle:\n"
+  for (const SweepFailure& f : failures) {
+    ADD_FAILURE() << f.label << " violated the oracle:\n"
                   << f.result.Explain() << "  replay: " << f.result.replay;
     if (artifact != nullptr) {
       std::fprintf(artifact, "%s\n", f.result.replay.c_str());

@@ -4,9 +4,7 @@
 // policy held against the protocol spec.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +59,21 @@ size_t DurableCount(World& world, int site, LogRecordKind kind) {
   return n;
 }
 
+// Polls every 200 us until both subordinates hold a durable replication
+// record, then cuts the coordinator off and crashes it. Each poll re-posts a
+// fresh callback, so nothing outlives the world that runs it.
+void IsolateAndCrashCoordinatorOnceReplicated(Rig& rig) {
+  rig.world.sched().Post(Usec(200), [&rig] {
+    if (DurableCount(rig.world, 1, LogRecordKind::kReplication) > 0 &&
+        DurableCount(rig.world, 2, LogRecordKind::kReplication) > 0) {
+      rig.world.net().SetPartition({{SiteId{0}}, {SiteId{1}, SiteId{2}}});
+      rig.world.Crash(0);
+      return;
+    }
+    IsolateAndCrashCoordinatorOnceReplicated(rig);
+  });
+}
+
 TEST(ProtocolEdgeTest, SimultaneousTakeoverCoordinatorsConverge) {
   // With identical deterministic timeouts, BOTH subordinates become
   // coordinators in the same instant after the real coordinator dies. The
@@ -68,17 +81,7 @@ TEST(ProtocolEdgeTest, SimultaneousTakeoverCoordinatorsConverge) {
   // one outcome results ("Having several simultaneous coordinators is
   // possible, but is not a problem").
   Rig rig(Quiet(3));
-  auto watcher = std::make_shared<std::function<void()>>();
-  *watcher = [&rig, watcher] {
-    if (DurableCount(rig.world, 1, LogRecordKind::kReplication) > 0 &&
-        DurableCount(rig.world, 2, LogRecordKind::kReplication) > 0) {
-      rig.world.net().SetPartition({{SiteId{0}}, {SiteId{1}, SiteId{2}}});
-      rig.world.Crash(0);
-      return;
-    }
-    rig.world.sched().Post(Usec(200), *watcher);
-  };
-  rig.world.sched().Post(Usec(200), *watcher);
+  IsolateAndCrashCoordinatorOnceReplicated(rig);
   rig.world.sched().Spawn([](Rig& r) -> Async<void> {
     auto b = co_await r.app.Begin();
     for (int i = 0; i < 3; ++i) {
