@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -74,7 +75,7 @@ double MeasureUsableCapacity(const OverloadExplorerConfig& cfg, double predicted
   shed_cfg.shedding = true;
   World world(MakeWorldConfig(shed_cfg));
   LoadGenConfig lg = cfg.load;
-  lg.options = cfg.Options();
+  lg.options = cfg.variant;
   lg.offered_tps = predicted_tps;
   lg.duration = cfg.calibration_window;
   lg.rng_seed = cfg.seed + 9001;
@@ -174,7 +175,7 @@ std::string OverloadRunResult::Explain() const {
 }
 
 CapacityModel OverloadExplorer::Capacity() const {
-  return PredictCapacity(MakeWorldConfig(config_), config_.Options());
+  return PredictCapacity(MakeWorldConfig(config_), config_.variant);
 }
 
 OverloadRunResult OverloadExplorer::Run() { return RunInternal(/*storm=*/false); }
@@ -183,16 +184,16 @@ OverloadRunResult OverloadExplorer::RunLatencyStorm() { return RunInternal(/*sto
 
 OverloadRunResult OverloadExplorer::RunInternal(bool storm) {
   OverloadRunResult out;
-  out.replay = ReplayRecipe(config_.seed, config_.Options(), "CAMELOT_OVERLOAD",
+  out.replay = ReplayRecipe(config_.seed, config_.variant, "CAMELOT_OVERLOAD",
                             std::string(storm ? "storm" : "spike") +
                                 (config_.shedding ? "" : ",noshed"));
 
   const WorldConfig world_config = MakeWorldConfig(config_);
   World world(world_config);
-  out.capacity = PredictCapacity(world_config, config_.Options());
+  out.capacity = PredictCapacity(world_config, config_.variant);
 
   LoadGenConfig base = config_.load;
-  base.options = config_.Options();
+  base.options = config_.variant;
   base.rng_seed = config_.seed;
   // The A/B lever: the collapse arm still CLASSIFIES by deadline but never
   // tells the system about it, and retries without a budget.

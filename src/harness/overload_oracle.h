@@ -37,7 +37,6 @@
 #ifndef SRC_HARNESS_OVERLOAD_ORACLE_H_
 #define SRC_HARNESS_OVERLOAD_ORACLE_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,8 +70,9 @@ std::string QueueHealthReport(World& world);
 struct OverloadExplorerConfig {
   int site_count = 3;
   uint64_t seed = 1;
-  std::optional<CommitOptions> variant;
-  CommitOptions Options() const { return variant.value_or(CommitOptions::Optimized()); }
+  // Commit variant for the load's transactions; the capacity model and the
+  // replay recipe follow it.
+  CommitOptions variant = CommitOptions::Optimized();
 
   // World sizing: a small pool and a fat per-event CPU burst put the knee low
   // enough that short virtual windows carry real overload.

@@ -95,8 +95,7 @@ void Network::Send(Datagram dg) {
   }
   ++counters_.datagrams_sent;
   if (cost_ledger_ != nullptr) {
-    cost_ledger_->Record(
-        CostEvent{FamilyId{kInvalidSite, 0}, dg.src, "net", "send", CostPrimitive::kDatagram});
+    cost_ledger_->Record(CostEvent{dg.src, "net", "send", CostPrimitive::kDatagram});
   }
   if (LoseOrDrop(dg)) {
     return;
@@ -149,8 +148,7 @@ void Network::Multicast(SiteId src, const std::vector<SiteId>& dsts, ServiceId s
     Datagram dg{src, dst, service, type, body};
     ++counters_.datagrams_sent;
     if (cost_ledger_ != nullptr) {
-      cost_ledger_->Record(
-          CostEvent{FamilyId{kInvalidSite, 0}, src, "net", "multicast", CostPrimitive::kDatagram});
+      cost_ledger_->Record(CostEvent{src, "net", "multicast", CostPrimitive::kDatagram});
     }
     if (LoseOrDrop(dg)) {
       continue;

@@ -124,11 +124,8 @@ Async<bool> TranMan::ForceHoldingWorker(Lsn lsn) {
   co_return durable;
 }
 
-Async<bool> TranMan::AtForcePoint(std::string point, uint32_t inc) {
-  if (!failpoints_.active()) {
-    co_return true;
-  }
-  const FailpointHit hit = failpoints_.Eval(point);
+Async<bool> TranMan::AtForcePoint(const char* point, const char* suffix, uint32_t inc) {
+  const FailpointHit hit = failpoints_.Eval(std::string(point) + suffix);
   if (hit.action == FailpointAction::kDelay) {
     co_await site_.sched().Delay(hit.delay);
   }
@@ -164,46 +161,39 @@ ForceAttribution AttributeForce(std::string_view point) {
 
 }  // namespace
 
-Async<bool> TranMan::ForceAt(const char* point, const FamilyId& family, Lsn lsn) {
+Async<bool> TranMan::BracketForce(const char* point, Lsn lsn, bool hold_worker) {
   const uint32_t inc = site_.incarnation();
-  if (!co_await AtForcePoint(std::string(point) + ".before", inc)) {
+  if (failpoints_.active()) {
+    const bool ok = co_await AtForcePoint(point, ".before", inc);
+    if (!ok) {
+      co_return false;
+    }
+  }
+  bool durable = false;
+  if (hold_worker) {
+    durable = co_await ForceHoldingWorker(lsn);
+  } else {
+    durable = co_await log_.Force(lsn);
+  }
+  if (!durable) {
     co_return false;
   }
-  if (!co_await ForceHoldingWorker(lsn)) {
+  if (failpoints_.active()) {
+    const bool ok = co_await AtForcePoint(point, ".after", inc);
+    if (!ok) {
+      co_return false;
+    }
+  }
+  if (Dead(inc)) {
     co_return false;
   }
-  if (!co_await AtForcePoint(std::string(point) + ".after", inc)) {
-    co_return false;
-  }
-  if (!Dead(inc)) {
-    const ForceAttribution attr = AttributeForce(point);
-    site_.cost_recorder().Record(family, attr.role, attr.phase, CostPrimitive::kLogForce);
-    co_return true;
-  }
-  co_return false;
+  const ForceAttribution attr = AttributeForce(point);
+  site_.cost_recorder().Record(attr.role, attr.phase, CostPrimitive::kLogForce);
+  co_return true;
 }
 
-Async<bool> TranMan::DirectForceAt(const char* point, const FamilyId& family, Lsn lsn) {
-  const uint32_t inc = site_.incarnation();
-  if (!co_await AtForcePoint(std::string(point) + ".before", inc)) {
-    co_return false;
-  }
-  if (!co_await log_.Force(lsn)) {
-    co_return false;
-  }
-  if (!co_await AtForcePoint(std::string(point) + ".after", inc)) {
-    co_return false;
-  }
-  if (!Dead(inc)) {
-    const ForceAttribution attr = AttributeForce(point);
-    site_.cost_recorder().Record(family, attr.role, attr.phase, CostPrimitive::kLogForce);
-    co_return true;
-  }
-  co_return false;
-}
-
-void TranMan::RecordSpool(const FamilyId& family, const char* role, const char* phase) {
-  site_.cost_recorder().Record(family, role, phase, CostPrimitive::kLogSpool);
+void TranMan::RecordSpool(const char* role, const char* phase) {
+  site_.cost_recorder().Record(role, phase, CostPrimitive::kLogSpool);
 }
 
 void TranMan::RecordDatagram(const TmMsg& msg) {
@@ -241,7 +231,7 @@ void TranMan::RecordDatagram(const TmMsg& msg) {
     case TmMsgType::kSiteUp:
       break;
   }
-  recorder.Record(msg.tid.family, role, TmMsgTypeName(msg.type), CostPrimitive::kDatagram);
+  recorder.Record(role, TmMsgTypeName(msg.type), CostPrimitive::kDatagram);
 }
 
 bool TranMan::AtTransition(const char* transition) {
@@ -934,7 +924,7 @@ Async<bool> TranMan::UndoForAbort(Family* fam, const char* role) {
   const uint32_t inc = site_.incarnation();
   // Presumed abort: the abort record is never forced.
   log_.Append(LogRecord::Abort(fam->top));
-  RecordSpool(fam->top.family, role, "abort");
+  RecordSpool(role, "abort");
   co_await CallServersAbort(*fam);
   co_return !Dead(inc);
 }
@@ -1039,7 +1029,7 @@ Async<Status> TranMan::CommitLocalOnly(Family* fam, bool has_updates,
   if (has_updates) {
     // Figure 1, event 9: the single log force that commits the transaction.
     const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await ForceAt("tm.local.commit_force", fam->top.family, lsn)) {
+    if (!co_await ForceAt("tm.local.commit_force", lsn)) {
       co_return UnavailableError("crashed during commit force");
     }
   }
@@ -1116,7 +1106,7 @@ Async<bool> TranMan::PrepareCoordinator(const char* force_point, Family* fam,
   // A read-only coordinator skips the force so that a completely read-only
   // transaction keeps the two-phase critical path (paper, Section 6).
   if (local_updates) {
-    const bool durable = co_await ForceAt(force_point, fam->top.family, AppendPrepare(*fam));
+    const bool durable = co_await ForceAt(force_point, AppendPrepare(*fam));
     if (!durable) {
       co_return false;
     }
@@ -1250,7 +1240,7 @@ Async<Status> TranMan::CoordinateTwoPhase(Family* fam, const CommitOptions& opti
 
   // Commit point: force the commit record listing subordinates needing acks.
   const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, votes.update_subs));
-  if (!co_await ForceAt("tm.2pc.commit_force", fam->top.family, lsn)) {
+  if (!co_await ForceAt("tm.2pc.commit_force", lsn)) {
     co_return UnavailableError("crashed during commit force");
   }
   if (!ApplyCommit(fam)) {
@@ -1314,7 +1304,7 @@ Async<void> TranMan::CoordinatorPhase2(FamilyId family, std::vector<SiteId> upda
   // Presumed abort epilogue: now that everyone wrote a commit record, the
   // coordinator may forget (End is never forced).
   log_.Append(LogRecord::End(fam->top));
-  RecordSpool(fam->top.family, "coord", "end");
+  RecordSpool("coord", "end");
   if (fam->protocol != CommitProtocol::kTwoPhase) {
     comman_.Forget(fam->top.family);  // Keep the tombstone itself (change 4).
   } else {
@@ -1372,7 +1362,7 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> su
   // Replication phase (change 3): replicate the commit intent until a commit
   // quorum (counting our own forced records) exists.
   const Lsn rep_lsn = AcceptValue(fam, site_.id(), MakeEpoch(0, site_.id()), TmDecision::kCommit);
-  if (!co_await ForceAt("tm.nbc.replicate_force", fam->top.family, rep_lsn)) {
+  if (!co_await ForceAt("tm.nbc.replicate_force", rep_lsn)) {
     co_return UnavailableError("crashed during replication force");
   }
 
@@ -1439,7 +1429,7 @@ Async<Status> TranMan::CoordinateNonBlocking(Family* fam, std::vector<SiteId> su
 
   // Commit point: the log write that completes a commit quorum.
   const Lsn commit_lsn = log_.Append(LogRecord::Commit(fam->top, votes.update_subs));
-  if (!co_await ForceAt("tm.nbc.commit_force", fam->top.family, commit_lsn)) {
+  if (!co_await ForceAt("tm.nbc.commit_force", commit_lsn)) {
     co_return UnavailableError("crashed during commit force");
   }
   if (!ApplyCommit(fam)) {
@@ -1552,7 +1542,7 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t commit_quorum,
 
   // Ballot-0 accept at acceptor 0.
   const Lsn rep_lsn = AcceptValue(fam, site_.id(), MakeEpoch(0, site_.id()), TmDecision::kCommit);
-  if (!co_await ForceAt("tm.paxos.accept_force", fam->top.family, rep_lsn)) {
+  if (!co_await ForceAt("tm.paxos.accept_force", rep_lsn)) {
     co_return UnavailableError("crashed during accept force");
   }
 
@@ -1596,7 +1586,7 @@ Async<Status> TranMan::CoordinatePaxos(Family* fam, uint32_t commit_quorum,
     }
   }
   log_.Append(LogRecord::Commit(fam->top, notify));
-  RecordSpool(fam->top.family, "coord", "paxos.commit");
+  RecordSpool("coord", "paxos.commit");
   if (!ApplyCommit(fam)) {
     co_return UnavailableError("site crashed");
   }
@@ -1646,7 +1636,7 @@ Async<void> TranMan::TryFormPaxosAccept(FamilyId family_id, uint32_t inc) {
   // cannot re-enter.
   const Lsn lsn = AcceptValue(fam, fam->coordinator, MakeEpoch(0, fam->coordinator),
                               TmDecision::kCommit);
-  if (!co_await DirectForceAt("tm.paxos.accept_force", family_id, lsn)) {
+  if (!co_await DirectForceAt("tm.paxos.accept_force", lsn)) {
     co_return;
   }
   fam = FindFamily(family_id);
@@ -1777,7 +1767,7 @@ Async<void> TranMan::HandleRemotePrepare(TmMsg msg) {
 
   // Update subordinate: force the prepare record (which also hardens all our
   // update records, making this the "one fewer log force" baseline).
-  if (!co_await ForceAt("tm.sub.prepare_force", fam->top.family, AppendPrepare(*fam))) {
+  if (!co_await ForceAt("tm.sub.prepare_force", AppendPrepare(*fam))) {
     co_return;
   }
   fam = FindFamily(msg.tid.family);
@@ -1919,7 +1909,7 @@ Async<void> TranMan::SubordinateCommit(Family* fam) {
   if (fam->force_sub_commit) {
     // Unoptimized: force the commit record, then drop locks, then ack.
     const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-    if (!co_await ForceAt("tm.sub.commit_force", fam->top.family, lsn)) {
+    if (!co_await ForceAt("tm.sub.commit_force", lsn)) {
       co_return;
     }
     fam = FindFamily(family_id);
@@ -1943,7 +1933,7 @@ Async<void> TranMan::SubordinateCommit(Family* fam) {
   // commit record meanwhile guarantees the outcome.
   NotifyServersDropLocks(*fam);
   const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
-  RecordSpool(fam->top.family, "sub", "commit");
+  RecordSpool("sub", "commit");
   site_.sched().Spawn(DelayedCommitAck(family_id, fam->top, fam->coordinator, lsn, inc));
   co_return;
 }
@@ -1955,7 +1945,7 @@ Async<void> TranMan::DelayedCommitAck(FamilyId family_id, Tid top, SiteId coordi
     co_return;
   }
   // Usually free: a group-commit batch or later traffic already hardened it.
-  if (!co_await DirectForceAt("tm.sub.ack_force", family_id, commit_lsn)) {
+  if (!co_await DirectForceAt("tm.sub.ack_force", commit_lsn)) {
     co_return;
   }
   // The ack is never on anyone's critical path: let it ride other traffic.
@@ -2164,7 +2154,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   uint32_t support = 0;
   if (self_acceptor) {
     const Lsn lsn = AcceptValue(fam, site_.id(), epoch, proposal);
-    if (!co_await DirectForceAt("tm.takeover.replicate_force", family_id, lsn)) {
+    if (!co_await DirectForceAt("tm.takeover.replicate_force", lsn)) {
       co_return true;
     }
     fam = FindFamily(family_id);
@@ -2208,7 +2198,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
   if (proposal == TmDecision::kCommit) {
     const Lsn lsn = log_.Append(LogRecord::Commit(fam->top, {}));
     if (policy.decision_force != nullptr) {
-      if (!co_await DirectForceAt(policy.decision_force, family_id, lsn)) {
+      if (!co_await DirectForceAt(policy.decision_force, lsn)) {
         co_return true;
       }
       fam = FindFamily(family_id);
@@ -2216,7 +2206,7 @@ Async<bool> TranMan::Takeover(FamilyId family_id, uint32_t inc) {
         co_return true;
       }
     } else {
-      RecordSpool(family_id, "takeover", policy.decision_spool);
+      RecordSpool("takeover", policy.decision_spool);
     }
     ClearBlocked(fam);
     if (!ApplyCommit(fam)) {
@@ -2277,7 +2267,7 @@ Async<void> TranMan::HandleReplicate(TmMsg msg) {
     fam->abort_quorum = msg.abort_quorum;
   }
   const Lsn lsn = AcceptValue(fam, msg.from, msg.epoch, msg.decision);
-  if (!co_await DirectForceAt("tm.accept.replicate_force", fam->top.family, lsn)) {
+  if (!co_await DirectForceAt("tm.accept.replicate_force", lsn)) {
     co_return;
   }
   TmMsg ack = MakeMsg(TmMsgType::kReplicateAck, msg.tid);

@@ -444,22 +444,26 @@ class TranMan {
   // A synchronous log force performed BY a worker thread: the thread is
   // occupied for the force's whole duration (Section 3.4/3.5 interplay).
   Async<bool> ForceHoldingWorker(Lsn lsn);
-  // Evaluates a single "<point>.before"/".after" force failpoint; honors a
-  // delay inline. False means the caller must treat the force as failed
-  // (crash or error-return fired at the point).
-  Async<bool> AtForcePoint(std::string point, uint32_t inc);
-  // ForceHoldingWorker bracketed by "<point>.before" / "<point>.after"
-  // failpoints; returns false (not durable) if a crash fired at either point.
-  // A successful force records one {family, role, phase, force} cost-ledger
-  // event, with role/phase derived from the point name.
-  Async<bool> ForceAt(const char* point, const FamilyId& family, Lsn lsn);
-  // Same bracketing around a direct (worker-less) log force.
-  Async<bool> DirectForceAt(const char* point, const FamilyId& family, Lsn lsn);
+  // Evaluates the force failpoint "<point><suffix>" (suffix ".before" or
+  // ".after"); honors a delay inline. False means the caller must treat the
+  // force as failed (crash or error-return fired at the point). Callers check
+  // failpoints_.active() first, so an unarmed world builds no point name.
+  Async<bool> AtForcePoint(const char* point, const char* suffix, uint32_t inc);
+  // A log force bracketed by "<point>.before" / "<point>.after" failpoints;
+  // returns false (not durable) if a crash fired at either point. A
+  // successful force records one {role, phase, force} cost-ledger event, with
+  // role/phase derived from the point name. ForceAt holds a worker thread for
+  // the force (ForceHoldingWorker); DirectForceAt forces without one.
+  Async<bool> ForceAt(const char* point, Lsn lsn) { return BracketForce(point, lsn, true); }
+  Async<bool> DirectForceAt(const char* point, Lsn lsn) {
+    return BracketForce(point, lsn, false);
+  }
+  Async<bool> BracketForce(const char* point, Lsn lsn, bool hold_worker);
   // Cost-ledger events for the primitives the static analysis predicts: an
   // unforced protocol log append, and one datagram per (message, destination)
   // — piggybacked off-path messages count as their own logical datagram, so
   // the measured counts are independent of batching.
-  void RecordSpool(const FamilyId& family, const char* role, const char* phase);
+  void RecordSpool(const char* role, const char* phase);
   void RecordDatagram(const TmMsg& msg);
   // Evaluates "tm.<transition>" just before a family state change; true means
   // a crash fired and the caller must stop.

@@ -127,8 +127,8 @@ TEST(ConformanceMutation, ExtraSubordinateForceIsRejected) {
         world.failpoints().Arm(
             "tm.sub.prepare_force.after", SiteId{1},
             FailpointArm::Callback(1, [w] {
-              w->cost_ledger().Record(CostEvent{FamilyId{}, SiteId{1}, "sub",
-                                                "commit", CostPrimitive::kLogForce});
+              w->cost_ledger().Record(
+                  CostEvent{SiteId{1}, "sub", "commit", CostPrimitive::kLogForce});
             }));
       });
   EXPECT_TRUE(report.txn_status.ok()) << report.txn_status.message();

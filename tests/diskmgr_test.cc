@@ -182,7 +182,8 @@ TEST(DiskManagerTest, RandomTrafficServesLatestValues) {
                    std::vector<uint8_t>* exp) -> Async<void> {
       for (int step = 0; step < 120; ++step) {
         const int obj_index = static_cast<int>(r->NextBounded(exp->size()));
-        const std::string obj = "o" + std::to_string(obj_index);
+        std::string obj = "o";
+        obj += std::to_string(obj_index);
         if (r->NextBool(0.5)) {
           const uint8_t value = static_cast<uint8_t>(r->Next());
           Bytes bytes(1, value);

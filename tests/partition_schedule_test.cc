@@ -4,8 +4,8 @@
 // partition isolates the coordinator, 2PC subordinates sit blocked (holding
 // locks, deciding nothing) whereas NBC's connected majority runs quorum
 // takeover and decides inside the fault window. Every failing run prints a
-// replay recipe; rerun it with
-//   CAMELOT_SEED=... CAMELOT_PROTOCOL=... CAMELOT_NEMESIS='...' \
+// replay recipe; rerun it with these variables set on the test's command line:
+//   CAMELOT_SEED=... CAMELOT_PROTOCOL=... CAMELOT_NEMESIS='...'
 //   ./partition_schedule_test --gtest_filter='*ReplaysNemesisFromEnvironment*'
 #include <gtest/gtest.h>
 
